@@ -11,7 +11,6 @@ density analysis and the pipeline simulator.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional
 
@@ -138,9 +137,8 @@ def aggregate_event(
     """Fold one event into a result.
 
     A pure function of ``(event, collect_outputs)``: it reads no
-    front-end state, which is what lets segmented replay defer
-    aggregation to merge time (segments cache raw events; any warmup or
-    output-collection setting can be applied when folding).
+    front-end state, so any warmup or output-collection setting can be
+    applied when folding a cached event stream.
     """
     res.branches += 1
     if not event.predictor_correct:
@@ -251,27 +249,6 @@ class FrontEnd:
                 continue
             self._aggregate(res, event)
         return res
-
-    def run(
-        self,
-        trace: Trace,
-        warmup: int = 0,
-        result: Optional[FrontEndResult] = None,
-    ) -> FrontEndResult:
-        """Deprecated whole-trace alias of :meth:`replay`.
-
-        Kept for one release so existing callers keep working; new code
-        should use :meth:`replay` (record streams) or the segmented
-        engine entry points (:meth:`repro.engine.Engine.replay` /
-        :meth:`repro.engine.Engine.stream`).
-        """
-        warnings.warn(
-            "FrontEnd.run() is deprecated; use FrontEnd.replay() or the "
-            "engine's replay/stream entry points",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.replay(trace, warmup=warmup, result=result)
 
     def events(self, trace: Trace) -> Iterable[FrontEndEvent]:
         """Yield per-branch events (the pipeline simulator's input)."""

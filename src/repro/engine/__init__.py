@@ -8,7 +8,7 @@ pickles) and executes the remainder serially or across a process pool.
 See ``docs/engine.md`` for the full design.
 """
 
-from repro.engine.cache import CacheStats, ReplayCache, SegmentCache, TraceCache
+from repro.engine.cache import CacheStats, ReplayCache, TraceCache
 from repro.engine.canonical import METRICS_SCHEMA, canonical_metrics, metrics_digest
 from repro.engine.engine import (
     Engine,
@@ -25,19 +25,6 @@ from repro.engine.executor import (
     resolve_executor,
 )
 from repro.engine.job import ReplayOutcome, SimJob
-from repro.engine.segmented import (
-    ChainGuessProvider,
-    ChainRecord,
-    CorruptingGuessProvider,
-    GuessProvider,
-    ReplayCheckpoint,
-    SegmentPlan,
-    SequentialChain,
-    SpeculativeShardScheduler,
-    replay_segmented,
-    segment_fingerprint,
-    select_scheduler,
-)
 from repro.engine.specs import (
     ALWAYS_HIGH,
     BASELINE_PREDICTOR,
@@ -55,9 +42,6 @@ __all__ = [
     "ALWAYS_HIGH",
     "BASELINE_PREDICTOR",
     "CacheStats",
-    "ChainGuessProvider",
-    "ChainRecord",
-    "CorruptingGuessProvider",
     "EXECUTOR_NAMES",
     "Engine",
     "EngineStats",
@@ -66,21 +50,15 @@ __all__ = [
     "PoolExecutor",
     "SerialExecutor",
     "GATING_POLICY",
-    "GuessProvider",
     "METRICS_SCHEMA",
     "NO_POLICY",
     "PolicySpec",
     "PredictorSpec",
     "ReplayCache",
-    "ReplayCheckpoint",
     "ReplayOutcome",
-    "SegmentCache",
-    "SegmentPlan",
-    "SequentialChain",
     "SimJob",
     "Spec",
     "SpecError",
-    "SpeculativeShardScheduler",
     "THREE_REGION_POLICY",
     "TraceCache",
     "canonical_metrics",
@@ -88,8 +66,5 @@ __all__ = [
     "execute_job",
     "get_engine",
     "metrics_digest",
-    "replay_segmented",
     "resolve_executor",
-    "segment_fingerprint",
-    "select_scheduler",
 ]

@@ -11,23 +11,8 @@ Two caches back the engine:
   directories small), so replays survive across processes and runs.
 - :class:`TraceCache` -- (name, n_branches, seed) -> generated trace,
   LRU-evicted against a total-branches budget.
-- :class:`SegmentCache` -- segment fingerprint -> (events, checkpoint)
-  for the segmented execution path (see :mod:`repro.engine.segmented`):
-  one entry per replayed trace segment, so re-running a job after a
-  suffix-only change replays only the dirty segments.  It also stores
-  tiny *chain records* (per-configuration checkpoint chains keyed by
-  chain key) that seed the speculative scheduler's guesses; chains
-  survive :meth:`SegmentCache.clear` and disk eviction, because losing
-  them only costs speed on the next warm re-run, while keeping them is
-  what makes a warm re-run embarrassingly parallel even after the bulky
-  event entries are gone.
 
-The segment cache's disk tier can be bounded (``disk_budget_bytes``):
-when the segment ``.pkl`` files exceed the budget, the least recently
-*used* entries are unlinked (reads touch mtime, so recency tracks use,
-not creation), counted in ``cache_segment_disk_evictions_total``.
-
-All expose monotonic counters; :class:`CacheStats` snapshots support
+Both expose monotonic counters; :class:`CacheStats` snapshots support
 per-experiment deltas in the run summary.
 """
 
@@ -44,7 +29,7 @@ from typing import Optional, Tuple
 from repro import telemetry
 from repro.engine.job import ReplayOutcome
 
-__all__ = ["CacheStats", "ReplayCache", "SegmentCache", "TraceCache"]
+__all__ = ["CacheStats", "ReplayCache", "TraceCache"]
 
 logger = logging.getLogger(__name__)
 
@@ -244,267 +229,6 @@ class ReplayCache:
 
     def clear(self) -> None:
         """Drop in-memory entries (the disk layer is left alone)."""
-        self._lru.clear()
-
-    def __len__(self) -> int:
-        return len(self._lru)
-
-    @property
-    def cached_events(self) -> int:
-        """Total events currently held in memory."""
-        return self._lru.spent
-
-
-class SegmentCache:
-    """Segment fingerprint -> ``(events, checkpoint)``, LRU plus disk.
-
-    The value is one replayed segment: its *complete* event list (no
-    warm-up applied -- aggregation happens at merge time) and the
-    :class:`~repro.engine.segmented.ReplayCheckpoint` at the segment's
-    end, which chains into the next segment's fingerprint.  The disk
-    layer lives under ``<dir>/segments/`` so it can share a cache
-    directory with :class:`ReplayCache` without key collisions; chain
-    records live under ``<dir>/segments/chains/`` and are exempt from
-    the disk budget (they are a few KB and seed speculation guesses).
-    """
-
-    def __init__(
-        self,
-        event_budget: int = DEFAULT_EVENT_BUDGET,
-        disk_dir: Optional[str] = None,
-        disk_budget_bytes: Optional[int] = None,
-    ):
-        if disk_budget_bytes is not None and disk_budget_bytes <= 0:
-            raise ValueError(
-                f"disk_budget_bytes must be None or positive, "
-                f"got {disk_budget_bytes}"
-            )
-        self._lru = _LruBudget(event_budget)
-        self.disk_dir = disk_dir
-        self.disk_budget_bytes = disk_budget_bytes
-        self.stats = CacheStats()
-        self.disk_evictions = 0
-        self._chains: dict = {}
-
-    def _disk_path(self, fingerprint: str) -> str:
-        return os.path.join(
-            self.disk_dir, "segments", fingerprint[:2], fingerprint + ".pkl"
-        )
-
-    def _chain_path(self, chain_key: str) -> str:
-        return os.path.join(
-            self.disk_dir, "segments", "chains", chain_key + ".pkl"
-        )
-
-    def get(self, fingerprint: str):
-        """``(events, checkpoint)`` for a cached segment, else ``None``."""
-        return self.get_tiered(fingerprint)[0]
-
-    def get_tiered(self, fingerprint: str):
-        """``((events, checkpoint), tier)`` -- tier is ``"memory"``,
-        ``"disk"``, or ``None`` on a miss (entry is ``None`` too).
-        Schedulers annotate their per-segment spans with the tier."""
-        tel = telemetry.get_registry()
-        entry = self._lru.get(fingerprint)
-        if entry is not None:
-            self.stats.hits += 1
-            if tel.enabled:
-                tel.counter("cache_segment_hits_total", tier="memory").inc()
-            return entry, "memory"
-        if self.disk_dir is not None:
-            path = self._disk_path(fingerprint)
-            try:
-                fh = open(path, "rb")
-            except OSError:
-                fh = None
-            if fh is not None:
-                try:
-                    with fh:
-                        events, checkpoint = pickle.load(fh)
-                except Exception as exc:
-                    self.stats.corrupt += 1
-                    if tel.enabled:
-                        tel.counter("cache_disk_corrupt_total").inc()
-                    telemetry.log_event(
-                        "cache.corrupt_entry",
-                        level=logging.WARNING,
-                        message=(
-                            "segment cache: dropping corrupt entry; recomputing"
-                        ),
-                        logger=logger,
-                        path=path,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                    try:
-                        os.unlink(path)
-                    except OSError:
-                        pass
-                else:
-                    self.stats.hits += 1
-                    self.stats.disk_hits += 1
-                    if tel.enabled:
-                        tel.counter("cache_segment_hits_total", tier="disk").inc()
-                    try:
-                        # Touch: disk eviction is least-recently-USED,
-                        # so reads must refresh recency.
-                        os.utime(path)
-                    except OSError:
-                        pass
-                    entry = (events, checkpoint)
-                    self._lru.put(fingerprint, entry, cost=max(1, len(events)))
-                    self._note_evictions(tel)
-                    return entry, "disk"
-        self.stats.misses += 1
-        if tel.enabled:
-            tel.counter("cache_segment_misses_total").inc()
-        return None, None
-
-    def _note_evictions(self, tel) -> None:
-        new = self._lru.evictions - self.stats.evictions
-        self.stats.evictions = self._lru.evictions
-        if new and tel.enabled:
-            tel.counter("cache_segment_evictions_total").inc(new)
-
-    def put(self, fingerprint: str, events, checkpoint) -> None:
-        self._lru.put(
-            fingerprint, (events, checkpoint), cost=max(1, len(events))
-        )
-        self._note_evictions(telemetry.get_registry())
-        if self.disk_dir is not None:
-            path = self._disk_path(fingerprint)
-            if not os.path.exists(path):
-                os.makedirs(os.path.dirname(path), exist_ok=True)
-                fd, tmp = tempfile.mkstemp(
-                    dir=os.path.dirname(path), suffix=".tmp"
-                )
-                try:
-                    with os.fdopen(fd, "wb") as fh:
-                        pickle.dump(
-                            (events, checkpoint),
-                            fh,
-                            protocol=pickle.HIGHEST_PROTOCOL,
-                        )
-                    os.replace(tmp, path)
-                except BaseException:
-                    if os.path.exists(tmp):
-                        os.unlink(tmp)
-                    raise
-                self._enforce_disk_budget()
-
-    def _segment_files(self):
-        """Yield ``(mtime, size, path)`` for every on-disk segment entry.
-
-        Chain records (``segments/chains/``) are excluded: they are not
-        part of the budgeted payload.
-        """
-        base = os.path.join(self.disk_dir, "segments")
-        try:
-            shards = os.listdir(base)
-        except OSError:
-            return
-        for shard in shards:
-            if shard == "chains":
-                continue
-            shard_dir = os.path.join(base, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for filename in os.listdir(shard_dir):
-                if not filename.endswith(".pkl"):
-                    continue
-                path = os.path.join(shard_dir, filename)
-                try:
-                    st = os.stat(path)
-                except OSError:
-                    continue
-                yield st.st_mtime, st.st_size, path
-
-    def _enforce_disk_budget(self) -> None:
-        """Unlink least-recently-used segment files past the byte budget."""
-        if self.disk_budget_bytes is None:
-            return
-        files = sorted(self._segment_files())
-        total = sum(size for _, size, _ in files)
-        evicted = 0
-        for _, size, path in files:
-            if total <= self.disk_budget_bytes:
-                break
-            try:
-                os.unlink(path)
-            except OSError:
-                continue
-            total -= size
-            evicted += 1
-        if evicted:
-            self.disk_evictions += evicted
-            tel = telemetry.get_registry()
-            if tel.enabled:
-                tel.counter("cache_segment_disk_evictions_total").inc(evicted)
-
-    def get_chain(self, chain_key: str):
-        """The recorded chain for ``chain_key``, or ``None``.
-
-        Chain records are opaque to the cache (the scheduler owns the
-        type); an unreadable disk record is dropped and treated as a
-        miss -- chains only seed guesses, so losing one is always safe.
-        """
-        record = self._chains.get(chain_key)
-        if record is not None:
-            return record
-        if self.disk_dir is not None:
-            path = self._chain_path(chain_key)
-            try:
-                fh = open(path, "rb")
-            except OSError:
-                return None
-            try:
-                with fh:
-                    record = pickle.load(fh)
-            except Exception as exc:
-                telemetry.log_event(
-                    "cache.corrupt_entry",
-                    level=logging.WARNING,
-                    message="segment cache: dropping corrupt chain record",
-                    logger=logger,
-                    path=path,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-                return None
-            self._chains[chain_key] = record
-            return record
-        return None
-
-    def put_chain(self, chain_key: str, record) -> None:
-        """Store (and overwrite) the chain record for ``chain_key``.
-
-        Unlike segment entries, chains legitimately change content under
-        the same key (a longer run extends the chain), so the disk copy
-        is always rewritten -- atomically, last writer wins.
-        """
-        self._chains[chain_key] = record
-        if self.disk_dir is not None:
-            path = self._chain_path(chain_key)
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    pickle.dump(record, fh, protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp, path)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
-
-    def clear(self) -> None:
-        """Drop in-memory segment entries.
-
-        The disk tier and the chain records survive: chains are the
-        guess seeds that make the *next* run's speculation profitable
-        precisely when the bulky event entries are gone.
-        """
         self._lru.clear()
 
     def __len__(self) -> int:

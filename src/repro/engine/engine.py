@@ -27,11 +27,10 @@ from repro.engine.cache import (
     DEFAULT_TRACE_BUDGET,
     CacheStats,
     ReplayCache,
-    SegmentCache,
     TraceCache,
 )
 from repro.engine.executor import EXECUTOR_NAMES, resolve_executor
-from repro.engine.job import SPECULATION_MODES, ReplayOutcome, SimJob
+from repro.engine.job import ReplayOutcome, SimJob
 
 __all__ = [
     "Engine",
@@ -42,30 +41,18 @@ __all__ = [
 ]
 
 
-def _replay_trace(
-    job: SimJob,
-    trace,
-    segments=None,
-    workers: int = 1,
-    speculation: str = "auto",
-) -> ReplayOutcome:
+def _replay_trace(job: SimJob, trace) -> ReplayOutcome:
     """Replay a prepared trace (optionally under the cProfile hotspot
     accumulator -- ``--profile`` wraps every executed job here)."""
     from repro.telemetry import profile
 
     if profile.profiling_enabled():
         with profile.profile_block():
-            return _replay_trace_impl(job, trace, segments, workers, speculation)
-    return _replay_trace_impl(job, trace, segments, workers, speculation)
+            return _replay_trace_impl(job, trace)
+    return _replay_trace_impl(job, trace)
 
 
-def _replay_trace_impl(
-    job: SimJob,
-    trace,
-    segments=None,
-    workers: int = 1,
-    speculation: str = "auto",
-) -> ReplayOutcome:
+def _replay_trace_impl(job: SimJob, trace) -> ReplayOutcome:
     """Replay a prepared trace through fresh spec-built components.
 
     Pure in the job description: no shared mutable state is read, which
@@ -75,34 +62,11 @@ def _replay_trace_impl(
     proven support matrix; anything else (including a missing numpy)
     falls back to the reference loop below, which is the semantic
     definition both backends must match.
-
-    Jobs with ``segment_size`` set replay as a checkpointed segment
-    chain through ``segments`` (a
-    :class:`~repro.engine.cache.SegmentCache`); the chain is
-    bit-identical to the monolithic pass below.  ``workers`` and
-    ``speculation`` reach the scheduler selection for such jobs: with
-    spare workers, speculation allowed, and a prior chain to guess
-    from, the chain fans out speculatively (see
-    :mod:`repro.engine.speculation`) -- a throughput knob only, never
-    an outcome knob.
     """
     from repro.core.frontend import FrontEnd, FrontEndResult
 
     tel = telemetry.get_registry()
     started = time.monotonic() if tel.enabled else 0.0
-
-    if job.segment_size is not None:
-        from repro.engine.segmented import replay_segmented
-
-        outcome, _ = replay_segmented(
-            job, trace, cache=segments, workers=workers, speculation=speculation
-        )
-        if tel.enabled:
-            tel.counter("engine_replays_total", backend=outcome.backend).inc()
-            tel.histogram(
-                "engine_replay_seconds", backend=outcome.backend
-            ).observe(time.monotonic() - started)
-        return outcome
 
     if job.backend == "fast":
         from repro import fastpath
@@ -158,10 +122,7 @@ def execute_job(job: SimJob) -> ReplayOutcome:
     are generated once per (worker, trace key) and reused across the
     jobs that land on that worker.
     """
-    engine = get_engine()
-    return _replay_trace(
-        job, engine.trace(*job.trace_key), segments=engine._segments
-    )
+    return _replay_trace(job, get_engine().trace(*job.trace_key))
 
 
 def _traced_execute_job(job: SimJob) -> ReplayOutcome:
@@ -192,13 +153,11 @@ class EngineStats:
         traces: CacheStats,
         executed: int = 0,
         parallel_executed: int = 0,
-        segments: Optional[CacheStats] = None,
     ):
         self.replay = replay
         self.traces = traces
         self.executed = executed
         self.parallel_executed = parallel_executed
-        self.segments = segments if segments is not None else CacheStats()
 
     def snapshot(self) -> "EngineStats":
         return EngineStats(
@@ -206,7 +165,6 @@ class EngineStats:
             self.traces.snapshot(),
             self.executed,
             self.parallel_executed,
-            self.segments.snapshot(),
         )
 
     def since(self, other: "EngineStats") -> "EngineStats":
@@ -215,17 +173,13 @@ class EngineStats:
             self.traces.since(other.traces),
             self.executed - other.executed,
             self.parallel_executed - other.parallel_executed,
-            self.segments.since(other.segments),
         )
 
     def format(self) -> str:
-        out = (
+        return (
             f"replays: {self.replay.format()}; "
             f"traces: {self.traces.format()}"
         )
-        if self.segments.requests:
-            out += f"; segments: {self.segments.format()}"
-        return out
 
 
 class Engine:
@@ -237,13 +191,6 @@ class Engine:
         event_budget: In-memory replay cache size, in cached events.
         cache_dir: Enables the on-disk replay cache at this directory.
         trace_budget: Trace cache size, in total dynamic branches.
-        speculation: ``"auto"`` (default) lets a single segmented job
-            use the speculative shard scheduler when ``max_workers > 1``
-            and a prior chain record supplies guesses; ``"off"`` pins
-            the sequential chain engine-wide.
-        segment_disk_budget: Byte budget for the segment cache's disk
-            tier (least-recently-used ``.pkl`` entries are unlinked past
-            it); ``None`` leaves the tier unbounded.
         executor: Where pending (uncached) jobs run -- an
             :class:`~repro.engine.executor.Executor` instance, a name
             from :data:`~repro.engine.executor.EXECUTOR_NAMES`, or
@@ -257,24 +204,16 @@ class Engine:
         event_budget: int = DEFAULT_EVENT_BUDGET,
         cache_dir: Optional[str] = None,
         trace_budget: int = DEFAULT_TRACE_BUDGET,
-        speculation: str = "auto",
-        segment_disk_budget: Optional[int] = None,
         executor=None,
     ):
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if speculation not in SPECULATION_MODES:
-            raise ValueError(
-                f"speculation must be one of {SPECULATION_MODES}, "
-                f"got {speculation!r}"
-            )
         if isinstance(executor, str) and executor not in EXECUTOR_NAMES:
             raise ValueError(
                 f"executor must be one of {EXECUTOR_NAMES} or an "
                 f"Executor instance, got {executor!r}"
             )
         self.max_workers = max_workers
-        self.speculation = speculation
         self.executor = executor
         #: Optional ``callable(job, outcome)`` invoked once per
         #: *executed* job (never for cache hits), as each outcome
@@ -285,11 +224,6 @@ class Engine:
         #: dropping results.
         self.result_sink = None
         self._replays = ReplayCache(event_budget, disk_dir=cache_dir)
-        self._segments = SegmentCache(
-            event_budget,
-            disk_dir=cache_dir,
-            disk_budget_bytes=segment_disk_budget,
-        )
         self._traces = TraceCache(trace_budget)
         self._executed = 0
         self._parallel_executed = 0
@@ -307,13 +241,11 @@ class Engine:
             self._traces.stats,
             self._executed,
             self._parallel_executed,
-            self._segments.stats,
         )
 
     def clear_cache(self) -> None:
-        """Drop all in-memory cached replays, segments and traces."""
+        """Drop all in-memory cached replays and traces."""
         self._replays.clear()
-        self._segments.clear()
         self._traces.clear()
 
     def trace(self, name: str, n_branches: int, seed: int):
@@ -396,110 +328,6 @@ class Engine:
         if self.result_sink is not None:
             self.result_sink(job, outcome)
 
-    def stream(self, job: SimJob, segment_size: Optional[int] = None):
-        """Replay ``job`` with bounded memory; aggregates, keeps no events.
-
-        Pulls records lazily from the benchmark generator one segment
-        at a time and folds each event into the result as it is
-        produced, so peak memory is one segment of records regardless
-        of ``job.n_branches`` -- the trace is never materialized and
-        the trace cache is bypassed.  The returned
-        :class:`~repro.core.frontend.FrontEndResult` is bit-identical
-        to ``self.replay(job).result`` (generator prefixes are
-        length-stable, and replay order is unchanged).
-
-        ``segment_size`` overrides the pull granularity (default:
-        ``job.segment_size`` or 8192); it only bounds memory, never
-        changes the result.
-
-        Jobs requesting ``backend="fast"`` drive each pulled segment
-        through :func:`repro.fastpath.driver.replay_segment`, rolling
-        the component states and history/path windows across segments
-        exactly like the segmented chain does -- so streaming keeps the
-        bounded footprint *and* the vectorized passes.  A mid-stream
-        runtime rejection hands the rolled states to a reference front
-        end and finishes there, bit-identically.
-        """
-        from itertools import islice
-
-        from repro.core.frontend import FrontEnd, FrontEndResult, aggregate_event
-        from repro.trace.benchmarks import benchmark_record_stream
-        from repro.trace.segments import iter_record_segments
-
-        size = segment_size or job.segment_size or 8192
-        tel = telemetry.get_registry()
-        with telemetry.trace_span(
-            "engine.stream", job=job.benchmark, segment_size=size
-        ):
-            use_fast = False
-            if job.backend == "fast":
-                from repro import fastpath
-
-                use_fast = fastpath.supports(job)
-                if not use_fast and tel.enabled:
-                    tel.counter(
-                        "fastpath_fallbacks_total",
-                        reason=fastpath.unsupported_reason(job) or "unknown",
-                    ).inc()
-            frontend = None
-            pred_state = est_state = None
-            history = 0
-            path = ()
-            result = FrontEndResult()
-            processed = 0
-            records = islice(
-                benchmark_record_stream(job.benchmark, job.seed),
-                job.n_branches,
-            )
-            for segment in iter_record_segments(records, size):
-                if use_fast:
-                    from repro import fastpath
-                    from repro.fastpath.driver import replay_segment
-
-                    try:
-                        events, pred_state, est_state, history, path = (
-                            replay_segment(
-                                job, segment, pred_state, est_state,
-                                history, path,
-                            )
-                        )
-                    except fastpath.FastPathUnsupported:
-                        if tel.enabled:
-                            tel.counter(
-                                "fastpath_fallbacks_total", reason="runtime"
-                            ).inc()
-                        use_fast = False
-                    else:
-                        for event in events[max(0, job.warmup - processed):]:
-                            aggregate_event(result, event, job.collect_outputs)
-                        processed += len(segment)
-                        if tel.enabled:
-                            tel.counter("engine_stream_segments_total").inc()
-                        continue
-                if frontend is None:
-                    frontend = FrontEnd(
-                        job.predictor.build(),
-                        job.estimator.build(),
-                        job.policy.build(),
-                        collect_outputs=job.collect_outputs,
-                    )
-                    if pred_state is not None:
-                        # Mid-stream hand-off: the fast prefix's rolled
-                        # states resume the reference loop exactly.
-                        frontend.predictor.restore(pred_state)
-                        frontend.estimator.restore(est_state)
-                frontend.replay(
-                    segment,
-                    warmup=max(0, job.warmup - processed),
-                    result=result,
-                )
-                processed += len(segment)
-                if tel.enabled:
-                    tel.counter("engine_stream_segments_total").inc()
-        if tel.enabled:
-            tel.counter("engine_replays_total", backend="stream").inc()
-        return result
-
     @staticmethod
     def simulate(events, config):
         """Run the pipeline timing model over a prepared event stream."""
@@ -524,8 +352,6 @@ def configure_engine(
     max_workers: Optional[int] = None,
     cache_dir: Optional[str] = None,
     event_budget: Optional[int] = None,
-    speculation: Optional[str] = None,
-    segment_disk_budget: Optional[int] = None,
     executor=None,
     reset: bool = False,
 ) -> Engine:
@@ -541,8 +367,6 @@ def configure_engine(
             max_workers=max_workers or 1,
             event_budget=event_budget or DEFAULT_EVENT_BUDGET,
             cache_dir=cache_dir,
-            speculation=speculation or "auto",
-            segment_disk_budget=segment_disk_budget,
             executor=executor,
         )
         return _default_engine
@@ -551,21 +375,10 @@ def configure_engine(
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         engine.max_workers = max_workers
-    if speculation is not None:
-        if speculation not in SPECULATION_MODES:
-            raise ValueError(
-                f"speculation must be one of {SPECULATION_MODES}, "
-                f"got {speculation!r}"
-            )
-        engine.speculation = speculation
     if cache_dir is not None:
         engine._replays.disk_dir = cache_dir
-        engine._segments.disk_dir = cache_dir
     if event_budget is not None:
         engine._replays._lru.budget = event_budget
-        engine._segments._lru.budget = event_budget
-    if segment_disk_budget is not None:
-        engine._segments.disk_budget_bytes = segment_disk_budget
     if executor is not None:
         engine.executor = executor
     return engine

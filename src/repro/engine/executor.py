@@ -3,31 +3,20 @@
 Every place the stack runs simulation work "somewhere else" goes
 through one :class:`Executor`:
 
-- :class:`SerialExecutor` -- in the submitting process.  A lone job
-  keeps the full worker budget, so a segmented job can still spend it
-  on speculative shard fan-out inside the replay.
+- :class:`SerialExecutor` -- in the submitting process.
 - :class:`PoolExecutor` -- a per-call ``ProcessPoolExecutor``.  This is
   the single home of the worker-bootstrap / telemetry-drain /
-  result-marshalling protocol that used to be duplicated (and slowly
-  diverging) between ``Engine.run`` and the speculative shard
-  scheduler; both now speak :mod:`repro.telemetry.workers` shipments
-  through :func:`_pool_entry`.
+  result-marshalling protocol: each job runs through
+  :func:`_pool_entry` and ships a :mod:`repro.telemetry.workers`
+  shipment home.
 - ``FleetExecutor`` (:mod:`repro.fleet.executor`) -- a sqlite work
   queue drained by detached ``python -m repro.fleet worker``
   processes, resolved lazily here so the engine has no import-time
   dependency on the fleet tier.
 
-Executors expose two shapes of work:
-
-- :meth:`Executor.execute` -- run a batch of :class:`SimJob` s,
-  yielding ``(job, outcome)`` pairs in submission order as they land
-  (the engine's per-outcome crash-resume contract).
-- :meth:`Executor.dispatch` -- a lower-level session for callers that
-  submit arbitrary functions and control join order themselves (the
-  speculative scheduler): ``session.submit(fn, *args)`` returns a
-  handle whose ``result()`` yields ``(value, shipment)``, where the
-  shipment carries the worker's telemetry for
-  :func:`~repro.telemetry.workers.absorb_shipment`.
+:meth:`Executor.execute` runs a batch of :class:`SimJob` s, yielding
+``(job, outcome)`` pairs in submission order as they land (the
+engine's per-outcome crash-resume contract).
 
 Executors are throughput knobs only.  Replay is deterministic in the
 job description, so every strategy produces bit-identical events and
@@ -36,8 +25,7 @@ results; the verify layers enforce it.
 
 from __future__ import annotations
 
-from concurrent.futures import CancelledError, ProcessPoolExecutor
-from contextlib import contextmanager
+from concurrent.futures import ProcessPoolExecutor
 from typing import Iterator, Optional, Sequence, Tuple
 
 from repro import telemetry
@@ -57,86 +45,18 @@ EXECUTOR_NAMES = ("auto", "serial", "pool", "fleet")
 
 
 def _pool_entry(payload):
-    """Worker-process entry: one task under the shipment protocol.
+    """Worker-process entry: one job under the shipment protocol.
 
     Module-level so pools can pickle it by reference.  ``payload`` is
-    ``(count, fn, args)``; the task's return value comes back paired
-    with the drained :class:`~repro.telemetry.workers.WorkerShipment`.
+    ``(count, job)``; the outcome comes back paired with the drained
+    :class:`~repro.telemetry.workers.WorkerShipment`.
     """
-    count, fn, args = payload
+    from repro.engine.engine import _traced_execute_job
+
+    count, job = payload
     worker_begin(count=count)
-    value = fn(*args)
-    return value, worker_collect(count=count)
-
-
-class _LazyHandle:
-    """A dispatch handle that executes in-process on first ``result()``.
-
-    Serial dispatch stays lazy so a caller that cancels a handle (the
-    speculative scheduler discarding a mispredicted shard) never pays
-    for the work.  No shipment: the work runs in the caller's own
-    telemetry context.
-    """
-
-    __slots__ = ("_fn", "_args", "_done", "_value", "_cancelled")
-
-    def __init__(self, fn, args):
-        self._fn = fn
-        self._args = args
-        self._done = False
-        self._value = None
-        self._cancelled = False
-
-    def result(self):
-        if self._cancelled:
-            raise CancelledError()
-        if not self._done:
-            self._value = self._fn(*self._args)
-            self._done = True
-        return self._value, None
-
-    def cancel(self) -> bool:
-        if self._done:
-            return False
-        self._cancelled = True
-        return True
-
-
-class _SerialSession:
-    __slots__ = ()
-
-    def submit(self, fn, *args) -> _LazyHandle:
-        return _LazyHandle(fn, args)
-
-
-class _PoolHandle:
-    """Wraps a pool future; ``result()`` absorbs nothing itself --
-    the caller decides whether an accepted result's shipment is
-    merged (mispredicted speculative work is dropped wholesale)."""
-
-    __slots__ = ("_future",)
-
-    def __init__(self, future):
-        self._future = future
-
-    def result(self):
-        return self._future.result()
-
-    def cancel(self) -> bool:
-        return self._future.cancel()
-
-
-class _PoolSession:
-    __slots__ = ("_pool", "_count")
-
-    def __init__(self, pool: ProcessPoolExecutor, count: bool):
-        self._pool = pool
-        self._count = count
-
-    def submit(self, fn, *args) -> _PoolHandle:
-        return _PoolHandle(
-            self._pool.submit(_pool_entry, (self._count, fn, args))
-        )
+    outcome = _traced_execute_job(job)
+    return outcome, worker_collect(count=count)
 
 
 class Executor:
@@ -156,59 +76,30 @@ class Executor:
         """Run ``jobs`` through ``engine``'s caches; yield per outcome."""
         raise NotImplementedError
 
-    @contextmanager
-    def dispatch(self, count: bool = False):
-        """A submit/join session for caller-ordered work (see module doc)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support dispatch sessions"
-        )
-
 
 class SerialExecutor(Executor):
-    """Run everything in the submitting process.
-
-    ``local_workers`` is the budget a *single* job may spend on
-    internal fan-out (speculative shard scheduling for segmented jobs);
-    job-level execution itself never parallelizes here.
-    """
+    """Run everything in the submitting process."""
 
     name = "serial"
     distributes = False
 
-    def __init__(self, local_workers: int = 1):
-        if local_workers < 1:
-            raise ValueError(
-                f"local_workers must be >= 1, got {local_workers}"
-            )
-        self.local_workers = local_workers
-
     def execute(self, jobs, engine):
+        # Looked up per call: instrumentation may wrap the module-level
+        # ``_replay_trace`` by name.
         from repro.engine.engine import _replay_trace
 
         for job in jobs:
-            outcome = _replay_trace(
-                job,
-                engine.trace(*job.trace_key),
-                segments=engine._segments,
-                workers=self.local_workers,
-                speculation=engine.speculation,
-            )
-            yield job, outcome
-
-    @contextmanager
-    def dispatch(self, count: bool = False):
-        yield _SerialSession()
+            yield job, _replay_trace(job, engine.trace(*job.trace_key))
 
 
 class PoolExecutor(Executor):
     """Fan work out over a per-call ``ProcessPoolExecutor``.
 
-    Pools are scoped to one ``execute``/``dispatch`` call, so forked
-    workers inherit the caller's telemetry state as of that call --
-    the fork-time capture decision the shipment protocol relies on.
-    A batch that cannot benefit (one job, or one worker) delegates to
-    :class:`SerialExecutor` with the full budget, preserving the lone
-    segmented job's speculative fan-out.
+    Pools are scoped to one ``execute`` call, so forked workers inherit
+    the caller's telemetry state as of that call -- the fork-time
+    capture decision the shipment protocol relies on.  A batch that
+    cannot benefit (one job, or one worker) runs inline through
+    :class:`SerialExecutor`.
     """
 
     name = "pool"
@@ -226,27 +117,20 @@ class PoolExecutor(Executor):
         return self._pool_size(n_jobs) > 1
 
     def execute(self, jobs, engine):
-        from repro.engine.engine import _traced_execute_job
-
         n = self._pool_size(len(jobs))
         if n <= 1:
-            yield from SerialExecutor(self.max_workers).execute(jobs, engine)
+            yield from SerialExecutor().execute(jobs, engine)
             return
         # Workers count into their own registries only when the parent
         # is collecting; each job ships a drained shipment home.
         count = telemetry.get_registry().enabled
-        payloads = [(count, _traced_execute_job, (job,)) for job in jobs]
+        payloads = [(count, job) for job in jobs]
         with ProcessPoolExecutor(max_workers=n) as pool:
             for job, (outcome, shipment) in zip(
                 jobs, pool.map(_pool_entry, payloads, chunksize=1)
             ):
                 absorb_shipment(shipment)
                 yield job, outcome
-
-    @contextmanager
-    def dispatch(self, count: bool = False):
-        with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-            yield _PoolSession(pool, count)
 
 
 def resolve_executor(
@@ -267,9 +151,9 @@ def resolve_executor(
     if isinstance(spec, Executor):
         return spec
     if spec is None or spec == "auto":
-        return PoolExecutor(workers) if workers > 1 else SerialExecutor(workers)
+        return PoolExecutor(workers) if workers > 1 else SerialExecutor()
     if spec == "serial":
-        return SerialExecutor(workers)
+        return SerialExecutor()
     if spec == "pool":
         return PoolExecutor(workers)
     if spec == "fleet":

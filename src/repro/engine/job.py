@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.engine.specs import (
     ALWAYS_HIGH,
@@ -28,14 +28,14 @@ __all__ = [
     "ReplayOutcome",
     "FINGERPRINT_SCHEMA",
     "BACKENDS",
-    "SPECULATION_MODES",
 ]
 
 #: Bump when the replay semantics or the canonical job encoding change;
 #: it salts every fingerprint, so stale on-disk cache entries from an
 #: older engine are never resurrected.
 #: Schema 2: the execution backend became part of the job identity.
-#: Schema 3: the speculation knob joined the canonical job encoding.
+#: Schema 3: the canonical encoding gained a trailing slot, now pinned
+#: to ``"auto"`` (see ``fingerprint``).
 FINGERPRINT_SCHEMA = 3
 
 #: Execution backends a job may request.  ``"fast"`` runs the
@@ -43,14 +43,6 @@ FINGERPRINT_SCHEMA = 3
 #: supported (bit-identical by construction, enforced by the verify
 #: fastpath layer) and falls back to the reference loop otherwise.
 BACKENDS = ("reference", "fast")
-
-#: Speculation modes for segmented replay.  ``"auto"`` lets the engine
-#: pick the speculative shard scheduler when workers are available and
-#: a prior chain exists to guess from; ``"off"`` pins the sequential
-#: chain.  Outcome-invariant by construction (the speculative verify
-#: layer enforces bit-identity), but part of the canonical encoding so
-#: the knob is auditable in every fingerprinted artifact.
-SPECULATION_MODES = ("auto", "off")
 
 
 @dataclass(frozen=True)
@@ -71,16 +63,6 @@ class SimJob:
             (the density-figure inputs).
         backend: Execution backend, ``"reference"`` (default) or
             ``"fast"`` (vectorized replay via :mod:`repro.fastpath`).
-        segment_size: When set, replay the trace in checkpointed
-            segments of this many branches through the segment-chain
-            cache (see :mod:`repro.engine.segmented`).  ``None``
-            (default) replays the whole trace in one pass.
-        speculation: ``"auto"`` (default) allows the speculative shard
-            scheduler for segmented replays (guess incoming checkpoints
-            from the prior run's chain, validate digests at joins,
-            abort mispredictions to sequential repair -- see
-            :mod:`repro.engine.speculation`); ``"off"`` pins the
-            sequential chain.
     """
 
     benchmark: str
@@ -92,22 +74,11 @@ class SimJob:
     policy: PolicySpec = NO_POLICY
     collect_outputs: bool = False
     backend: str = "reference"
-    segment_size: Optional[int] = None
-    speculation: str = "auto"
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
-            )
-        if self.speculation not in SPECULATION_MODES:
-            raise ValueError(
-                f"speculation must be one of {SPECULATION_MODES}, "
-                f"got {self.speculation!r}"
-            )
-        if self.segment_size is not None and self.segment_size < 1:
-            raise ValueError(
-                f"segment_size must be None or >= 1, got {self.segment_size}"
             )
         if self.n_branches <= 0:
             raise ValueError(f"n_branches must be positive, got {self.n_branches}")
@@ -134,15 +105,6 @@ class SimJob:
         Two jobs share a fingerprint iff they describe bit-identical
         replays.  ``repr`` round-trips ints and floats exactly, so the
         encoding is unambiguous; the schema version salts the digest.
-
-        ``segment_size`` is deliberately *excluded*: segmentation is an
-        execution knob, proven outcome-invariant by the segmented
-        verify layer, so segmented and monolithic replays of the same
-        job share one cache identity.  ``speculation`` *is* included
-        (schema 3): it is equally outcome-invariant -- the speculative
-        verify layer enforces that -- but it selects which scheduler
-        produced a cached artifact, and the canonical encoding records
-        every knob a replay ran under so cached outcomes are auditable.
         """
         canonical = (
             "simjob",
@@ -156,7 +118,7 @@ class SimJob:
             self.policy.canonical(),
             self.collect_outputs,
             self.backend,
-            self.speculation,
+            "auto",  # former speculation slot, pinned: keeps schema-3 digests valid
         )
         return hashlib.sha256(repr(canonical).encode("utf-8")).hexdigest()
 

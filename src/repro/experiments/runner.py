@@ -377,18 +377,6 @@ def main(argv=None) -> int:
         help="persist the replay cache on disk at PATH across runs",
     )
     parser.add_argument(
-        "--speculation",
-        choices=("auto", "off"),
-        default="auto",
-        help=(
-            "segmented-replay scheduler selection: 'auto' (default) "
-            "speculates shard-parallel from the prior run's chain when "
-            "--jobs > 1, 'off' pins the sequential chain; outcomes are "
-            "bit-identical either way (enforced by the speculative "
-            "verify layer)"
-        ),
-    )
-    parser.add_argument(
         "--executor",
         choices=("auto", "serial", "pool", "fleet"),
         default="auto",
@@ -406,16 +394,6 @@ def main(argv=None) -> int:
         help=(
             "fleet work queue for --executor fleet "
             "(default <cache-dir>/fleet/queue.sqlite)"
-        ),
-    )
-    parser.add_argument(
-        "--segment-disk-budget",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help=(
-            "bound the on-disk segment cache at BYTES (least recently "
-            "used entries evicted past it; requires --cache-dir)"
         ),
     )
     parser.add_argument(
@@ -478,11 +456,6 @@ def main(argv=None) -> int:
                 "from this tree would not be trustworthy"
             )
             return status
-    if args.segment_disk_budget is not None and args.segment_disk_budget <= 0:
-        parser.error(
-            f"--segment-disk-budget must be positive, "
-            f"got {args.segment_disk_budget}"
-        )
     executor = args.executor
     if executor == "fleet":
         from repro.fleet import FleetExecutor, default_queue_path
@@ -498,8 +471,6 @@ def main(argv=None) -> int:
     engine = configure_engine(
         max_workers=args.jobs,
         cache_dir=args.cache_dir,
-        speculation=args.speculation,
-        segment_disk_budget=args.segment_disk_budget,
         executor=executor,
     )
     settings = resolve_settings(

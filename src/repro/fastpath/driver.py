@@ -38,7 +38,6 @@ __all__ = [
     "unsupported_reason",
     "replay_trace",
     "replay_with_state",
-    "replay_segment",
 ]
 
 
@@ -116,8 +115,7 @@ def _supports_predictor(spec) -> bool:
         ):
             return False
         # Collision bumping can push the longest table past max_history;
-        # the realised geometry must fit both the history kernels and
-        # the segment-resume checkpoint window (64 bits each).
+        # the realised geometry must fit the 64-bit history kernels.
         from repro.predictors.tage import geometric_history_lengths
 
         lengths = geometric_history_lengths(
@@ -384,10 +382,10 @@ def _aggregate(job, col, ppass, epass, final_arr, reverse_arr):
     return result
 
 
-def _materialize_events(job, col, ppass, signals, decisions, warmup=None):
+def _materialize_events(job, col, ppass, signals, decisions):
     from repro.core.frontend import FrontEndEvent
 
-    w = job.warmup if warmup is None else warmup
+    w = job.warmup
     n = col.n
     pcs = col.pc_list
     takens = col.taken_list
@@ -452,59 +450,3 @@ def replay_with_state(job, trace):
     result = _aggregate(job, col, ppass, epass, final_arr, reverse_arr)
     events = _materialize_events(job, col, ppass, signals, decisions)
     return events, result, ppass.state, epass.state
-
-
-def replay_segment(job, segment, predictor_state, estimator_state, history_bits, path):
-    """Fast replay of one checkpointed segment of ``job``'s trace.
-
-    ``predictor_state``/``estimator_state`` are the incoming
-    checkpoint's canonical tuples (``None`` for a fresh start), and
-    ``history_bits``/``path`` its trailing outcome/address windows
-    (:data:`~repro.engine.segmented.CHECKPOINT_WINDOW` wide).  Returns
-    ``(events, predictor_state, estimator_state, history_bits, path)``
-    describing all of the segment's events (warm-up applies at merge
-    time, not here) and the outgoing checkpoint fields.
-
-    The incoming states are *trusted for shape, not for truth*: the
-    speculative scheduler hands this function guessed -- possibly
-    wrong, possibly corrupted -- checkpoints, executes faithfully from
-    whatever state arrives, and lets the join-time digest guard decide
-    whether the result is usable.  A wrong-but-well-formed state simply
-    replays to a different (discarded) outcome; a *malformed* state
-    (truncated tuple, wrong types -- e.g. a garbled chain record) is
-    rejected cheaply as :class:`~repro.fastpath.FastPathUnsupported`
-    rather than crashing deep inside a kernel, so callers keep their
-    ordinary fallback/requeue path.
-
-    The columnar view is built per call rather than through
-    :func:`get_columnar`: its derived columns depend on the incoming
-    context, so the whole-trace cache must not serve it.  The
-    per-trace predictor-pass cache is skipped for the same reason.
-    """
-    from repro.engine.segmented import CHECKPOINT_WINDOW
-    from repro.fastpath import FastPathUnsupported
-
-    try:
-        col = ColumnarTrace(segment, init_history=history_bits, init_path=path)
-    except (TypeError, ValueError) as exc:
-        raise FastPathUnsupported(str(exc)) from None
-    tel = get_registry()
-    if tel.enabled:
-        tel.histogram(
-            "fastpath_batch_branches", buckets=COUNT_BUCKETS
-        ).observe(col.n)
-    try:
-        ppass = run_predictor(job.predictor, col, predictor_state)
-        epass = run_estimator(
-            job.estimator, col, ppass.pred, ppass.correct, estimator_state
-        )
-    except (TypeError, ValueError, IndexError, KeyError) as exc:
-        raise FastPathUnsupported(
-            f"malformed init state: {type(exc).__name__}: {exc}"
-        ) from None
-    decisions, _final_arr, _reverse_arr = _decide(job, col, ppass, epass)
-    signals = _signals(epass)
-    events = _materialize_events(job, col, ppass, signals, decisions, warmup=0)
-    out_history = col.final_history(CHECKPOINT_WINDOW)
-    out_path = tuple((list(path) + col.pc_list)[-CHECKPOINT_WINDOW:])
-    return events, ppass.state, epass.state, out_history, out_path

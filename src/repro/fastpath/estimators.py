@@ -77,7 +77,7 @@ class EstimatorPass:
 
 
 def _run_always_high(
-    col: ColumnarTrace, params, pred, correct, init_state=None
+    col: ColumnarTrace, params, pred, correct
 ) -> EstimatorPass:
     n = col.n
     return EstimatorPass(
@@ -89,7 +89,7 @@ def _run_always_high(
 
 
 def _run_jrs(
-    col: ColumnarTrace, params, pred, correct, init_state=None
+    col: ColumnarTrace, params, pred, correct
 ) -> EstimatorPass:
     entries = params["entries"]
     counter_bits = params["counter_bits"]
@@ -107,8 +107,7 @@ def _run_jrs(
     ).tolist()
 
     counter_max = (1 << counter_bits) - 1
-    # init_state: ("jrs", enhanced, table, history_bits)
-    table = [0] * entries if init_state is None else list(init_state[2])
+    table = [0] * entries
     n = col.n
     low = [False] * n
     level = [LEVEL_HIGH] * n
@@ -131,7 +130,7 @@ def _run_jrs(
 
 
 def _run_perceptron(
-    col: ColumnarTrace, params, pred, correct, init_state=None
+    col: ColumnarTrace, params, pred, correct
 ) -> EstimatorPass:
     entries = params["entries"]
     history_length = params["history_length"]
@@ -144,12 +143,6 @@ def _run_perceptron(
     w_min = -(1 << (weight_bits - 1))
     rows = ((col.pcs >> 2) % entries).tolist()
     pops = col.popcounts(history_length)
-
-    # init_state: ("perceptron_estimator", mode, weight_rows, bits)
-    init_weights = (
-        None if init_state is None else np.asarray(init_state[2], dtype=np.int64)
-    )
-    init_bits = col.init_history & ((1 << history_length) - 1)
 
     n = col.n
     low = [False] * n
@@ -166,8 +159,6 @@ def _run_perceptron(
             params["training_threshold"],
             w_min,
             w_max,
-            init_weights=init_weights,
-            init_history=init_bits,
         )
         for i in range(n):
             y = ys[i]
@@ -188,8 +179,6 @@ def _run_perceptron(
             theta,
             w_min,
             w_max,
-            init_weights=init_weights,
-            init_history=init_bits,
         )
         for i in range(n):
             if -threshold <= ys[i] <= threshold:
@@ -206,7 +195,7 @@ def _run_perceptron(
 
 
 def _run_path_perceptron(
-    col: ColumnarTrace, params, pred, correct, init_state=None
+    col: ColumnarTrace, params, pred, correct
 ) -> EstimatorPass:
     entries = params["table_entries"]
     history_length = params["history_length"]
@@ -220,8 +209,7 @@ def _run_path_perceptron(
     n = col.n
 
     # Path matrix: P[i, j] = pc of the (j+1)-th most recent retired
-    # branch before i (0 when the path is still short); the columnar
-    # view pre-pads with the checkpoint path for segment replays.
+    # branch before i (0 when the path is still short).
     path_mat = sliding_window_view(col.path_before(h), h)[:, ::-1]
     keys = (
         ((col.pcs >> 2).astype(np.uint64) << np.uint64(20))[:, None]
@@ -242,13 +230,8 @@ def _run_path_perceptron(
     )
     bias_idx = ((col.pcs >> 2) % entries).tolist()
 
-    # init_state: ("path_perceptron", weight_rows, bias, bits, path)
-    if init_state is None:
-        weights_flat = np.zeros(h * entries, dtype=np.int32)
-        bias = [0] * entries
-    else:
-        weights_flat = np.asarray(init_state[1], dtype=np.int32).reshape(-1)
-        bias = list(init_state[2])
+    weights_flat = np.zeros(h * entries, dtype=np.int32)
+    bias = [0] * entries
     low = [False] * n
     level = [LEVEL_HIGH] * n
     raw = [0.0] * n
@@ -278,19 +261,16 @@ def _run_path_perceptron(
         tuple(tuple(int(w) for w in row) for row in weights),
         tuple(bias),
         col.final_history(h),
-        tuple((list(col.init_path) + col.pc_list)[-h:]),
+        tuple(col.pc_list[-h:]),
     )
     return EstimatorPass(low=low, level=level, raw=raw, state=state)
 
 
 def _run_agreement(
-    col: ColumnarTrace, params, pred, correct, init_state=None
+    col: ColumnarTrace, params, pred, correct
 ) -> EstimatorPass:
-    # init_state: ("agreement", mode, primary_state, secondary_state)
-    p_init = None if init_state is None else init_state[2]
-    s_init = None if init_state is None else init_state[3]
-    first = run_estimator(params["primary"], col, pred, correct, p_init)
-    second = run_estimator(params["secondary"], col, pred, correct, s_init)
+    first = run_estimator(params["primary"], col, pred, correct)
+    second = run_estimator(params["secondary"], col, pred, correct)
     union = params["mode"] == "union"
     n = col.n
     low = [False] * n
@@ -310,13 +290,10 @@ def _run_agreement(
 
 
 def _run_cascade(
-    col: ColumnarTrace, params, pred, correct, init_state=None
+    col: ColumnarTrace, params, pred, correct
 ) -> EstimatorPass:
-    # init_state: ("cascade", primary_state, secondary_state)
-    p_init = None if init_state is None else init_state[1]
-    s_init = None if init_state is None else init_state[2]
-    first = run_estimator(params["primary"], col, pred, correct, p_init)
-    second = run_estimator(params["secondary"], col, pred, correct, s_init)
+    first = run_estimator(params["primary"], col, pred, correct)
+    second = run_estimator(params["secondary"], col, pred, correct)
     band = params["neutral_band"]
     pthr = params["primary_threshold"]
     n = col.n
@@ -348,18 +325,12 @@ _RUNNERS = {
 }
 
 
-def run_estimator(
-    spec, col: ColumnarTrace, pred, correct, init_state=None
-) -> EstimatorPass:
+def run_estimator(spec, col: ColumnarTrace, pred, correct) -> EstimatorPass:
     """Replay ``spec`` (an EstimatorSpec) over the whole trace.
 
     ``pred``/``correct`` are the predictor pass's per-branch prediction
     and correctness lists (the streams the front end feeds the
-    estimator's ``estimate``/``train`` protocol).  ``init_state`` is a
-    prior ``state_canonical()`` tuple for checkpoint resume (segment
-    replay); history/path context comes from the columnar view's
-    ``init_history``/``init_path``, keeping tables and derived columns
-    consistent.
+    estimator's ``estimate``/``train`` protocol).
     """
     runner = _RUNNERS.get(spec.kind)
     if runner is None:
@@ -368,4 +339,4 @@ def run_estimator(
         raise FastPathUnsupported(f"no fast estimator pass for kind {spec.kind!r}")
     params = dict(ESTIMATOR_DEFAULTS[spec.kind])
     params.update(spec.param_dict())
-    return runner(col, params, pred, correct, init_state)
+    return runner(col, params, pred, correct)

@@ -87,9 +87,7 @@ def _gshare_indices(col: ColumnarTrace, entries: int, history_length: int) -> Li
     ).tolist()
 
 
-def _run_baseline_hybrid(
-    col: ColumnarTrace, params: dict, init_state=None
-) -> PredictorPass:
+def _run_baseline_hybrid(col: ColumnarTrace, params: dict) -> PredictorPass:
     bim_entries = params["bimodal_entries"]
     gsh_entries = params["gshare_entries"]
     meta_entries = params["meta_entries"]
@@ -100,15 +98,9 @@ def _run_baseline_hybrid(
     g_idx = _gshare_indices(col, gsh_entries, history_length)
     takl = col.taken_list
 
-    if init_state is None:
-        bim = [2] * bim_entries
-        gsh = [2] * gsh_entries
-        meta = [2] * meta_entries
-    else:
-        # ("combined", ("bimodal", bim), ("gshare", h, gsh, bits), meta, bits)
-        bim = list(init_state[1][1])
-        gsh = list(init_state[2][2])
-        meta = list(init_state[3])
+    bim = [2] * bim_entries
+    gsh = [2] * gsh_entries
+    meta = [2] * meta_entries
     n = col.n
     pred = [False] * n
     for i in range(n):
@@ -150,7 +142,7 @@ def _run_baseline_hybrid(
 
 
 def _run_gshare_perceptron_hybrid(
-    col: ColumnarTrace, params: dict, init_state=None
+    col: ColumnarTrace, params: dict
 ) -> PredictorPass:
     gsh_entries = params["gshare_entries"]
     gshare_history = params["gshare_history"]
@@ -158,16 +150,8 @@ def _run_gshare_perceptron_hybrid(
     perc_history = params["perceptron_history"]
     meta_entries = params["meta_entries"]
 
-    if init_state is None:
-        init_weights = None
-        gsh = [2] * gsh_entries
-        meta = [2] * meta_entries
-    else:
-        # ("combined", ("gshare", h, gsh, bits),
-        #  ("perceptron_predictor", rows, bits), meta, bits)
-        gsh = list(init_state[1][2])
-        init_weights = np.asarray(init_state[2][1], dtype=np.int64)
-        meta = list(init_state[3])
+    gsh = [2] * gsh_entries
+    meta = [2] * meta_entries
 
     # Component B first: the direction-trained perceptron is
     # self-contained (trains on every branch outcome), so one SWAR pass
@@ -183,8 +167,6 @@ def _run_gshare_perceptron_hybrid(
         theta,
         w_min=-128,
         w_max=127,
-        init_weights=init_weights,
-        init_history=col.init_history & ((1 << perc_history) - 1),
     )
     pb_list = [y >= 0 for y in ys]
 
@@ -229,7 +211,7 @@ def _run_gshare_perceptron_hybrid(
     return _finish(col, pred, state)
 
 
-def _run_tage(col: ColumnarTrace, params: dict, init_state=None) -> PredictorPass:
+def _run_tage(col: ColumnarTrace, params: dict) -> PredictorPass:
     from repro.predictors.tage import geometric_history_lengths
 
     base_entries = params["base_entries"]
@@ -264,23 +246,11 @@ def _run_tage(col: ColumnarTrace, params: dict, init_state=None) -> PredictorPas
         )
     b_idx = (pcs % np.uint64(base_entries)).tolist()
 
-    if init_state is None:
-        base = [2] * base_entries
-        ctr = [[midpoint] * tagged_entries for _ in lengths]
-        tags = [[0] * tagged_entries for _ in lengths]
-        useful = [[0] * tagged_entries for _ in lengths]
-        retired = 0
-    else:
-        # ("tage", lengths, base, ((ctr, tags, useful), ...), bits, retired)
-        if tuple(init_state[1]) != lengths:
-            raise ValueError(
-                f"checkpoint history lengths {tuple(init_state[1])} != {lengths}"
-            )
-        base = list(init_state[2])
-        ctr = [list(t[0]) for t in init_state[3]]
-        tags = [list(t[1]) for t in init_state[3]]
-        useful = [list(t[2]) for t in init_state[3]]
-        retired = int(init_state[5])
+    base = [2] * base_entries
+    ctr = [[midpoint] * tagged_entries for _ in lengths]
+    tags = [[0] * tagged_entries for _ in lengths]
+    useful = [[0] * tagged_entries for _ in lengths]
+    retired = 0
 
     takl = col.taken_list
     n = col.n
@@ -370,14 +340,9 @@ _RUNNERS = {
 }
 
 
-def run_predictor(spec, col: ColumnarTrace, init_state=None) -> PredictorPass:
-    """Replay ``spec`` (a PredictorSpec) over the whole trace.
-
-    ``init_state`` is a prior ``state_canonical()`` tuple for
-    checkpoint resume (segment replay); ``None`` means fresh tables.
-    The history context comes from ``col.init_history``, not the state
-    tuple, so the columnar view and the seeded tables stay consistent.
-    """
+def run_predictor(spec, col: ColumnarTrace) -> PredictorPass:
+    """Replay ``spec`` (a PredictorSpec) over the whole trace from fresh
+    tables."""
     runner = _RUNNERS.get(spec.kind)
     if runner is None:
         from repro.fastpath import FastPathUnsupported
@@ -385,4 +350,4 @@ def run_predictor(spec, col: ColumnarTrace, init_state=None) -> PredictorPass:
         raise FastPathUnsupported(f"no fast predictor pass for kind {spec.kind!r}")
     params = dict(PREDICTOR_DEFAULTS[spec.kind])
     params.update(spec.param_dict())
-    return runner(col, params, init_state)
+    return runner(col, params)

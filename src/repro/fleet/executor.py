@@ -158,6 +158,4 @@ class FleetExecutor(Executor):
             message="done job absent from shared cache; re-executing",
             fingerprint=job.fingerprint[:12],
         )
-        return _replay_trace(
-            job, engine.trace(*job.trace_key), segments=engine._segments
-        )
+        return _replay_trace(job, engine.trace(*job.trace_key))

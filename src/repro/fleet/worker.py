@@ -86,8 +86,7 @@ class FleetWorker:
         """The worker loop; returns the number of jobs completed."""
         # The worker is its own telemetry domain: one window per job,
         # drained into the queue row.  The engine is serial on purpose
-        # -- fan-out across jobs is the fleet's, and a lone segmented
-        # job may still speculate locally via the engine's budget.
+        # -- fan-out across jobs is the fleet's.
         worker_begin(count=True, capture=True)
         tel = telemetry.get_registry()
         queue = WorkQueue(self.queue_path)

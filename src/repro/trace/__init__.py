@@ -26,7 +26,7 @@ Public surface:
 - :mod:`repro.trace.ingest` -- external (ChampSim/CBP-style) branch
   trace ingestion into the segmented on-disk format.
 - :mod:`repro.trace.segments` -- lazy segment iteration and the indexed
-  on-disk segment format used by segmented streaming execution.
+  on-disk segment format that ingested and recorded traces use.
 """
 
 from repro.trace.behaviors import (

@@ -441,7 +441,7 @@ def benchmark_record_stream(name: str, seed: int = 0):
     :func:`generate_benchmark_trace`, so the first ``n`` records of this
     stream are exactly ``generate_benchmark_trace(name, n, seed)`` --
     the generator's prefixes are length-stable.  Streaming consumers
-    (``Engine.stream``, segment writers) replay arbitrarily long traces
+    (the segmented trace writer) handle arbitrarily long traces
     without ever materializing one.
     """
     if name.startswith("h2p."):

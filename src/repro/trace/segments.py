@@ -1,9 +1,8 @@
 """Segment iteration and the indexed on-disk segment format.
 
-Segmented streaming execution (see ``docs/architecture.md``) cuts a
-trace into fixed-size contiguous segments and replays them one at a
-time, so no layer ever has to materialize more than one segment.  This
-module provides the two trace-side halves of that architecture:
+The on-disk trace format cuts a trace into fixed-size contiguous
+segments, so neither writing nor reading a recorded trace ever has to
+materialize more than one segment.  This module provides both halves:
 
 - :func:`segment_bounds` / :func:`iter_record_segments` -- pure
   segment arithmetic and lazy segmentation of any record stream
@@ -378,12 +377,11 @@ class SegmentedTrace:
 class SegmentedTraceView:
     """A length-limited lazy view over a :class:`SegmentedTrace`.
 
-    Presents the trace interface the engine and the segment chain
-    consume (``len``, iteration, ``slice``, name/seed metadata) for the
-    first ``n_branches`` records, loading only the segments each access
-    touches -- so a ``SimJob`` shorter than the recorded trace flows
-    through segmented (and speculative) replay without the whole trace
-    ever being materialized.
+    Presents the trace interface the engine consumes (``len``,
+    iteration, ``slice``, name/seed metadata) for the first
+    ``n_branches`` records, loading only the segments each access
+    touches -- so a ``SimJob`` shorter than the recorded trace replays
+    without the whole trace ever being materialized.
     """
 
     def __init__(self, trace: SegmentedTrace, n_branches: int):

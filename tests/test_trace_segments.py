@@ -1,7 +1,12 @@
-"""Segment iteration, the on-disk segment format, and record streams."""
+"""Segment iteration, the on-disk segment format, record streams, the
+orphan sweep, and ``segtrace:`` job sources."""
+
+import os
 
 import pytest
 
+from repro import telemetry
+from repro.engine import Engine, SimJob, canonical_metrics
 from repro.trace.benchmarks import benchmark_record_stream, generate_benchmark_trace
 from repro.trace.generator import TraceGenerator
 from repro.trace.record import BranchRecord, Trace
@@ -10,8 +15,43 @@ from repro.trace.segments import (
     iter_record_segments,
     save_segmented,
     segment_bounds,
+    sweep_orphan_segments,
 )
+from repro.verify.matrix import CASES
 from tests.conftest import make_simple_workload
+
+N_BRANCHES = 2_000
+SEGMENT_SIZE = 500  # 4 segments over the 2k-branch trace
+
+
+@pytest.fixture(autouse=True)
+def _clean_telemetry():
+    telemetry.disable()
+    telemetry.reset()
+    yield
+    telemetry.disable()
+    telemetry.reset()
+
+
+@pytest.fixture(scope="module")
+def trace():
+    return generate_benchmark_trace("gzip", n_branches=N_BRANCHES, seed=11)
+
+
+def _job(**overrides):
+    case = CASES[0]
+    base = dict(
+        benchmark="gzip",
+        n_branches=N_BRANCHES,
+        warmup=0,
+        seed=11,
+        predictor=case.predictor,
+        estimator=case.estimator,
+        policy=case.policy,
+        collect_outputs=True,
+    )
+    base.update(overrides)
+    return SimJob(**base)
 
 
 class TestSegmentBounds:
@@ -143,3 +183,77 @@ class TestIngestedEdgeCases:
         assert len(reopened) == 0
         assert len(reopened.load()) == 0
         assert reopened.job_token() == trace.job_token()
+
+
+class TestOrphanSweep:
+    def test_sweep_removes_unindexed_payloads(self, trace, tmp_path):
+        pytest.importorskip("numpy")
+        directory = str(tmp_path / "seg")
+        save_segmented(trace, directory, segment_size=SEGMENT_SIZE)
+        stray = os.path.join(directory, "segment-9999.npz")
+        with open(stray, "wb") as handle:
+            handle.write(b"orphan")
+
+        tel = telemetry.enable()
+        tel.reset()
+        removed = sweep_orphan_segments(directory)
+        assert removed == 1
+        assert not os.path.exists(stray)
+        assert tel.counter("trace_segment_orphans_removed_total").value == 1
+        # Indexed payloads are untouched and the trace still reads.
+        assert len(SegmentedTrace(directory)) == N_BRANCHES
+
+    def test_save_sweeps_crashed_writer_leftovers(self, trace, tmp_path):
+        pytest.importorskip("numpy")
+        directory = str(tmp_path / "seg")
+        os.makedirs(directory)
+        stray = os.path.join(directory, "segment-0042.npz")
+        with open(stray, "wb") as handle:
+            handle.write(b"crashed writer leftovers")
+        save_segmented(trace, directory, segment_size=SEGMENT_SIZE)
+        assert not os.path.exists(stray)
+
+
+class TestSegtraceJobSource:
+    @pytest.fixture()
+    def recorded(self, trace, tmp_path):
+        pytest.importorskip("numpy")
+        return save_segmented(
+            trace, str(tmp_path / "seg"), segment_size=SEGMENT_SIZE
+        )
+
+    def test_job_token_pins_content(self, recorded):
+        token = recorded.job_token()
+        assert token.startswith("segtrace:")
+        assert recorded.content_digest[:16] in token
+
+    def test_engine_replays_from_token(self, recorded):
+        token = recorded.job_token()
+        engine = Engine(max_workers=1)
+        from_token = engine.replay(_job(benchmark=token))
+        generated = engine.replay(_job())
+        assert from_token.events == generated.events
+        assert canonical_metrics(from_token.result) == canonical_metrics(
+            generated.result
+        )
+
+    def test_prefix_view_bounds_job_window(self, recorded):
+        token = recorded.job_token()
+        engine = Engine(max_workers=1)
+        short = engine.replay(_job(benchmark=token, n_branches=700))
+        full = engine.replay(_job())
+        assert short.events == full.events[:700]
+
+    def test_digest_mismatch_rejected(self, recorded):
+        bad = "segtrace:" + "0" * 16 + ":" + recorded.directory
+        with pytest.raises(ValueError, match="digest"):
+            Engine(max_workers=1).replay(_job(benchmark=bad))
+
+    def test_oversized_window_rejected(self, recorded):
+        with pytest.raises(ValueError):
+            Engine(max_workers=1).replay(
+                _job(
+                    benchmark=recorded.job_token(),
+                    n_branches=N_BRANCHES + 1,
+                )
+            )
