@@ -81,7 +81,7 @@ class GlobalHistoryRegister:
         self._vector[0] = 1 if taken else -1
 
     def set_bits(self, value: int) -> None:
-        """Overwrite the whole register (used for recovery/checkpoints)."""
+        """Overwrite the whole register (used for recovery and state loads)."""
         self._bits = value & self._mask
         self._refresh_vector()
 

@@ -99,26 +99,6 @@ class ConfidenceEstimator(ABC):
             repr(self.state_canonical()).encode("utf-8")
         ).hexdigest()
 
-    def checkpoint(self) -> tuple:
-        """Resumable snapshot of all adaptive state.
-
-        Exactly :meth:`state_canonical`: nested tuples of plain ints,
-        picklable and digest-stable.  Valid only at a retired-branch
-        boundary (after ``train`` + ``shift_history``), where transient
-        scratch such as the fusion estimators' pending signals is empty.
-        """
-        return self.state_canonical()
-
-    def restore(self, state: tuple) -> None:
-        """Restore a :meth:`checkpoint` snapshot bit-identically.
-
-        The receiving estimator must be configured identically to the
-        snapshot's source; mismatches raise ``ValueError``.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support checkpoint/restore"
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
 
@@ -147,7 +127,3 @@ class AlwaysHighEstimator(ConfidenceEstimator):
 
     def state_canonical(self) -> tuple:
         return ("always_high",)
-
-    def restore(self, state: tuple) -> None:
-        if not state or state[0] != "always_high":
-            raise ValueError(f"not an always_high checkpoint: {state[:1]!r}")

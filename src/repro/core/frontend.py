@@ -101,35 +101,6 @@ class FrontEndResult:
         """Mispredictions removed by reversal (negative = made worse)."""
         return self.reversals_correcting - self.reversals_breaking
 
-    def merge(self, other: "FrontEndResult") -> "FrontEndResult":
-        """Return a new result combining ``self`` then ``other``.
-
-        Every counter is an integer sum (associative and commutative);
-        the raw-output lists concatenate in operand order, so merging
-        per-segment results in segment order reproduces the monolithic
-        result exactly, including event-ordered output densities.
-        """
-        merged = FrontEndResult(
-            branches=self.branches + other.branches,
-            mispredictions=self.mispredictions + other.mispredictions,
-            final_mispredictions=(
-                self.final_mispredictions + other.final_mispredictions
-            ),
-            reversals=self.reversals + other.reversals,
-            reversals_correcting=(
-                self.reversals_correcting + other.reversals_correcting
-            ),
-            reversals_breaking=(
-                self.reversals_breaking + other.reversals_breaking
-            ),
-            metrics=self.metrics.merge(other.metrics),
-        )
-        merged.outputs_correct = self.outputs_correct + other.outputs_correct
-        merged.outputs_mispredicted = (
-            self.outputs_mispredicted + other.outputs_mispredicted
-        )
-        return merged
-
 
 def aggregate_event(
     res: FrontEndResult, event: FrontEndEvent, collect_outputs: bool = False

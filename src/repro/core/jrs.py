@@ -119,18 +119,6 @@ class JRSEstimator(ConfidenceEstimator):
             self._history.bits,
         )
 
-    def restore(self, state: tuple) -> None:
-        if not state or state[0] != "jrs":
-            raise ValueError(f"not a jrs checkpoint: {state[:1]!r}")
-        _, enhanced, table, history_bits = state
-        if bool(enhanced) != bool(self.enhanced):
-            raise ValueError(
-                f"checkpoint enhanced={enhanced} != estimator "
-                f"enhanced={self.enhanced}"
-            )
-        self._table.load_state_dict({"table": list(table)})
-        self._history.set_bits(int(history_bits))
-
     # -- persistence ---------------------------------------------------
 
     _STATE_KIND = "jrs_estimator"

@@ -17,13 +17,6 @@ from repro.engine.engine import (
     execute_job,
     get_engine,
 )
-from repro.engine.executor import (
-    EXECUTOR_NAMES,
-    Executor,
-    PoolExecutor,
-    SerialExecutor,
-    resolve_executor,
-)
 from repro.engine.job import ReplayOutcome, SimJob
 from repro.engine.specs import (
     ALWAYS_HIGH,
@@ -42,13 +35,9 @@ __all__ = [
     "ALWAYS_HIGH",
     "BASELINE_PREDICTOR",
     "CacheStats",
-    "EXECUTOR_NAMES",
     "Engine",
     "EngineStats",
     "EstimatorSpec",
-    "Executor",
-    "PoolExecutor",
-    "SerialExecutor",
     "GATING_POLICY",
     "METRICS_SCHEMA",
     "NO_POLICY",
@@ -66,5 +55,4 @@ __all__ = [
     "execute_job",
     "get_engine",
     "metrics_digest",
-    "resolve_executor",
 ]

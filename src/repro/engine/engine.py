@@ -2,17 +2,16 @@
 
 :class:`Engine` is the single choke point for all front-end replay
 work.  ``Engine.run(jobs)`` deduplicates the job list by fingerprint,
-serves repeats from the replay cache (memory, then disk), and hands the
-remainder to an :class:`~repro.engine.executor.Executor` -- in-process
-(serial), fanned out over a local process pool, or enqueued on the
-distributed fleet (:mod:`repro.fleet`) -- returning outcomes in the
+serves repeats from the replay cache (memory, then disk), and runs the
+remainder through :func:`repro.engine.executor.execute` -- inline, or
+fanned out over a per-call process pool -- returning outcomes in the
 order the jobs were given.  Replay is fully deterministic in the job
-description, so serial, parallel, fleet and cached runs of the same job
-produce bit-identical events and results; the execution mode is purely
+description, so serial, parallel and cached runs of the same job
+produce bit-identical events and results; the worker count is purely
 a throughput knob.
 
 A module-level default engine serves the experiment suite; configure it
-once from the CLI (``--jobs``, ``--cache-dir``, ``--executor``) via
+once from the CLI (``--jobs``, ``--cache-dir``) via
 :func:`configure_engine`.
 """
 
@@ -29,7 +28,7 @@ from repro.engine.cache import (
     ReplayCache,
     TraceCache,
 )
-from repro.engine.executor import EXECUTOR_NAMES, resolve_executor
+from repro.engine.executor import execute
 from repro.engine.job import ReplayOutcome, SimJob
 
 __all__ = [
@@ -128,9 +127,9 @@ def execute_job(job: SimJob) -> ReplayOutcome:
 def _traced_execute_job(job: SimJob) -> ReplayOutcome:
     """Worker-side task: one job under its ``worker.replay`` span.
 
-    The executor layer owns the telemetry bootstrap and shipment
+    The executor owns the telemetry bootstrap and shipment
     (:mod:`repro.telemetry.workers`); this wrapper only contributes the
-    span that names the work, so fleet and pool timelines both show one
+    span that names the work, so pool timelines show one
     ``worker.replay`` lane entry per executed job.
     """
     with telemetry.trace_span(
@@ -142,6 +141,16 @@ def _traced_execute_job(job: SimJob) -> ReplayOutcome:
         outcome = execute_job(job)
         span.note(backend=outcome.backend)
     return outcome
+
+
+def _check_workers(max_workers: int) -> None:
+    if max_workers < 1:
+        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+
+
+def _check_budget(event_budget: int) -> None:
+    if event_budget < 1:
+        raise ValueError(f"event_budget must be >= 1, got {event_budget}")
 
 
 class EngineStats:
@@ -183,7 +192,7 @@ class EngineStats:
 
 
 class Engine:
-    """Runs :class:`SimJob` s through the replay cache and executors.
+    """Runs :class:`SimJob` s through the replay cache, inline or pooled.
 
     Args:
         max_workers: Default process fan-out for :meth:`run`.  1 means
@@ -191,11 +200,6 @@ class Engine:
         event_budget: In-memory replay cache size, in cached events.
         cache_dir: Enables the on-disk replay cache at this directory.
         trace_budget: Trace cache size, in total dynamic branches.
-        executor: Where pending (uncached) jobs run -- an
-            :class:`~repro.engine.executor.Executor` instance, a name
-            from :data:`~repro.engine.executor.EXECUTOR_NAMES`, or
-            ``None``/"auto" to pick pool-vs-serial from the worker
-            budget per batch (the historical behavior).
     """
 
     def __init__(
@@ -204,17 +208,10 @@ class Engine:
         event_budget: int = DEFAULT_EVENT_BUDGET,
         cache_dir: Optional[str] = None,
         trace_budget: int = DEFAULT_TRACE_BUDGET,
-        executor=None,
     ):
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if isinstance(executor, str) and executor not in EXECUTOR_NAMES:
-            raise ValueError(
-                f"executor must be one of {EXECUTOR_NAMES} or an "
-                f"Executor instance, got {executor!r}"
-            )
+        _check_workers(max_workers)
+        _check_budget(event_budget)
         self.max_workers = max_workers
-        self.executor = executor
         #: Optional ``callable(job, outcome)`` invoked once per
         #: *executed* job (never for cache hits), as each outcome
         #: lands -- not after the whole batch.  The sweep layer points
@@ -266,14 +263,13 @@ class Engine:
         """Execute a batch of jobs; outcomes align with ``jobs`` order.
 
         Duplicate jobs (same fingerprint) are executed once.  Cache
-        lookups happen first; only genuinely new work reaches the
-        executor.  With ``max_workers > 1`` and more than one new job,
-        execution fans out across processes -- results are collected in
+        lookups happen first; only genuinely new work is executed.
+        With ``max_workers > 1`` and more than one new job, execution
+        fans out across processes -- results are collected in
         submission order, so parallelism never perturbs output order.
         """
         workers = self.max_workers if max_workers is None else max_workers
-        if workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {workers}")
+        _check_workers(workers)
 
         tel = telemetry.get_registry()
         with telemetry.trace_span("engine.run", jobs=len(jobs)):
@@ -296,16 +292,13 @@ class Engine:
                 )
 
             if pending:
-                executor = resolve_executor(
-                    self.executor, workers, cache_dir=self.cache_dir
-                )
-                distributed = executor.will_distribute(len(pending))
+                processes = min(workers, len(pending))
                 # Outcomes land one at a time, in submission order --
                 # the executor owns worker bootstrap and telemetry
                 # shipment, _finish owns caching and the result sink.
-                for job, outcome in executor.execute(pending, self):
+                for job, outcome in execute(pending, self, processes):
                     self._finish(job, outcome, resolved)
-                if distributed:
+                if processes > 1:
                     self._parallel_executed += len(pending)
                     if tel.enabled:
                         tel.counter("engine_jobs_parallel_total").inc(
@@ -352,33 +345,35 @@ def configure_engine(
     max_workers: Optional[int] = None,
     cache_dir: Optional[str] = None,
     event_budget: Optional[int] = None,
-    executor=None,
     reset: bool = False,
 ) -> Engine:
     """Create or reconfigure the default engine.
 
     Passing ``reset=True`` replaces the engine outright (dropping its
     in-memory caches); otherwise existing caches are preserved and only
-    the requested knobs change.
+    the requested knobs change.  ``None`` leaves a knob at its current
+    (or default) value; anything else is validated exactly as
+    :class:`Engine` validates it, before any knob changes.
     """
     global _default_engine
     if reset or _default_engine is None:
         _default_engine = Engine(
-            max_workers=max_workers or 1,
-            event_budget=event_budget or DEFAULT_EVENT_BUDGET,
+            max_workers=1 if max_workers is None else max_workers,
+            event_budget=(
+                DEFAULT_EVENT_BUDGET if event_budget is None else event_budget
+            ),
             cache_dir=cache_dir,
-            executor=executor,
         )
         return _default_engine
+    if max_workers is not None:
+        _check_workers(max_workers)
+    if event_budget is not None:
+        _check_budget(event_budget)
     engine = _default_engine
     if max_workers is not None:
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         engine.max_workers = max_workers
     if cache_dir is not None:
         engine._replays.disk_dir = cache_dir
     if event_budget is not None:
         engine._replays._lru.budget = event_budget
-    if executor is not None:
-        engine.executor = executor
     return engine

@@ -321,84 +321,16 @@ class PipelineSimulator:
     # Public API
     # ------------------------------------------------------------------
 
-    def checkpoint(self) -> tuple:
-        """Resumable snapshot of the simulator's clocks and queues.
-
-        Plain nested tuples (picklable, digest-stable).  The in-flight
-        heap is canonicalised by sorting: heap layout among equal
-        resolve times is unobservable (ties always resolve together in
-        ``_resolve_until``), so the sorted form restores bit-identical
-        behaviour regardless of the original insertion order.
-        """
-        return (
-            "pipeline_simulator",
-            self._fetch_time,
-            self._retire_time,
-            tuple(
-                sorted(
-                    (b.resolve_time, b.activation_time, b.counts_gating)
-                    for b in self._inflight
-                )
-            ),
-            self._seq,
-            tuple((t, u) for t, u in self._retire_queue),
-            self._fetched_uops,
-            self._retired_uops,
-        )
-
-    def restore(self, state: tuple) -> None:
-        """Restore a :meth:`checkpoint` snapshot."""
-        if not state or state[0] != "pipeline_simulator":
-            raise ValueError(
-                f"not a pipeline simulator checkpoint: {state[:1]!r}"
-            )
-        (
-            _,
-            fetch_time,
-            retire_time,
-            inflight,
-            seq,
-            retire_queue,
-            fetched_uops,
-            retired_uops,
-        ) = state
-        self._fetch_time = float(fetch_time)
-        self._retire_time = float(retire_time)
-        heap = [
-            _InFlight(
-                resolve_time=float(resolve),
-                activation_time=float(activation),
-                counts_gating=bool(counts),
-            )
-            for resolve, activation, counts in inflight
-        ]
-        heapq.heapify(heap)
-        self._inflight = heap
-        self._seq = int(seq)
-        self._retire_queue = deque((float(t), float(u)) for t, u in retire_queue)
-        self._fetched_uops = float(fetched_uops)
-        self._retired_uops = float(retired_uops)
-
     def simulate(
         self,
         events: Iterable[FrontEndEvent],
         stats: Optional[SimStats] = None,
-        resume: bool = False,
     ) -> SimStats:
         """Replay a front-end event stream; returns accumulated stats.
 
-        Internal time state is reset at the start of every call unless
-        ``resume=True``, which continues from the current clocks (after
-        :meth:`restore`, or from a previous ``simulate`` call on the
-        same instance).  A resumed call adds this call's *cycle delta*
-        to ``stats.total_cycles`` instead of overwriting it with the
-        absolute retire clock, so per-segment stats from a resumed chain
-        sum (:meth:`repro.pipeline.stats.SimStats.merge`) to exactly the
-        monolithic totals.
+        Internal time state is reset at the start of every call.
         """
-        if not resume:
-            self._reset()
-        retire_base = self._retire_time
+        self._reset()
         result = stats if stats is not None else SimStats()
         from repro import telemetry
 
@@ -412,10 +344,7 @@ class PipelineSimulator:
             base_breaking = result.reversals_breaking
         for event in events:
             self._process(event, result)
-        if resume:
-            result.total_cycles += self._retire_time - retire_base
-        else:
-            result.total_cycles = self._retire_time
+        result.total_cycles = self._retire_time
         if tel.enabled:
             buckets = telemetry.COUNT_BUCKETS
             tel.counter("pipeline_simulations_total").inc()

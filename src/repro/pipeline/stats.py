@@ -76,42 +76,6 @@ class SimStats:
             return 0.0
         return 1000.0 * self.mispredictions / self.correct_path_uops
 
-    def merge(self, other: "SimStats") -> "SimStats":
-        """Return a new stats object summing ``self`` and ``other``.
-
-        Every field -- including the cycle fields -- is a plain sum, so
-        the merge is associative and commutative.  Cycle sums reduce to
-        the monolithic totals when the operands are per-segment *deltas*
-        from a resumed simulator chain
-        (:meth:`repro.pipeline.simulator.PipelineSimulator.simulate`
-        with ``resume=True`` records deltas, not absolute clocks).
-        """
-        return SimStats(
-            correct_path_uops=self.correct_path_uops + other.correct_path_uops,
-            wrong_path_uops=self.wrong_path_uops + other.wrong_path_uops,
-            branches=self.branches + other.branches,
-            mispredictions=self.mispredictions + other.mispredictions,
-            raw_mispredictions=(
-                self.raw_mispredictions + other.raw_mispredictions
-            ),
-            reversals=self.reversals + other.reversals,
-            reversals_correcting=(
-                self.reversals_correcting + other.reversals_correcting
-            ),
-            reversals_breaking=(
-                self.reversals_breaking + other.reversals_breaking
-            ),
-            gated_branches=self.gated_branches + other.gated_branches,
-            total_cycles=self.total_cycles + other.total_cycles,
-            gated_cycles=self.gated_cycles + other.gated_cycles,
-            throttled_cycles=self.throttled_cycles + other.throttled_cycles,
-            squash_cycles=self.squash_cycles + other.squash_cycles,
-            gating_stalls=self.gating_stalls + other.gating_stalls,
-            wrong_path_uops_saved=(
-                self.wrong_path_uops_saved + other.wrong_path_uops_saved
-            ),
-        )
-
     def as_dict(self) -> dict:
         """Summary dictionary for reports."""
         return {

@@ -147,29 +147,5 @@ class BranchPredictor(ABC):
             repr(self.state_canonical()).encode("utf-8")
         ).hexdigest()
 
-    def checkpoint(self) -> tuple:
-        """Resumable snapshot of all adaptive state.
-
-        The snapshot is exactly :meth:`state_canonical` -- plain nested
-        tuples of Python ints, so it pickles across process boundaries
-        and hashes stably (``state_digest`` of the source equals the
-        digest of a freshly-built predictor after :meth:`restore`).
-        Per-branch scratch state is excluded by construction, which is
-        why checkpoints are only meaningful *between* retired branches
-        (segment boundaries), never mid-branch.
-        """
-        return self.state_canonical()
-
-    def restore(self, state: tuple) -> None:
-        """Restore a :meth:`checkpoint` snapshot bit-identically.
-
-        The receiving predictor must have the same configuration
-        (geometry, history length) as the one that produced the
-        snapshot; mismatches raise ``ValueError``.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support checkpoint/restore"
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

@@ -62,12 +62,6 @@ class BimodalPredictor(BranchPredictor):
     def state_canonical(self) -> tuple:
         return ("bimodal", tuple(int(v) for v in self._table.snapshot()))
 
-    def restore(self, state: tuple) -> None:
-        if not state or state[0] != "bimodal":
-            raise ValueError(f"not a bimodal checkpoint: {state[:1]!r}")
-        _, table = state
-        self._table.load_state_dict({"table": list(table)})
-
     def state_dict(self) -> dict:
         """Serialisable table state."""
         return {"table": self._table.state_dict()["table"]}

@@ -105,15 +105,6 @@ class CombinedPredictor(BranchPredictor):
             self._history.bits,
         )
 
-    def restore(self, state: tuple) -> None:
-        if not state or state[0] != "combined":
-            raise ValueError(f"not a combined checkpoint: {state[:1]!r}")
-        _, state_a, state_b, meta, history_bits = state
-        self.component_a.restore(state_a)
-        self.component_b.restore(state_b)
-        self._meta.load_state_dict({"table": list(meta)})
-        self._history.set_bits(int(history_bits))
-
     _STATE_KIND = "combined_predictor"
 
     def save(self, path: str) -> None:

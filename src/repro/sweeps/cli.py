@@ -97,26 +97,12 @@ def _jobs_fingerprint(specs, base) -> str:
     return hashlib.sha256("\n".join(fingerprints).encode("utf-8")).hexdigest()
 
 
-def _resolve_executor_arg(args):
-    """Map --executor/--fleet-queue to a configure_engine executor."""
-    if args.executor != "fleet":
-        return args.executor
-    from repro.fleet import FleetExecutor, default_queue_path
-
-    queue_path = args.fleet_queue or default_queue_path(args.cache_dir)
-    return FleetExecutor(queue_path)
-
-
 def _cmd_run(args) -> int:
     from repro.engine import configure_engine
 
     specs = _specs(args.specs)
     base = _settings(args)
-    configure_engine(
-        max_workers=args.jobs,
-        cache_dir=args.cache_dir,
-        executor=_resolve_executor_arg(args),
-    )
+    configure_engine(max_workers=args.jobs, cache_dir=args.cache_dir)
     collecting = bool(args.telemetry or args.trace_out or args.profile)
     if collecting:
         telemetry.enable()
@@ -383,22 +369,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help=(
             "engine disk replay cache (default "
             f"{DEFAULT_CACHE_DIR}; events live here, metrics in the store)"
-        ),
-    )
-    p_run.add_argument(
-        "--executor", choices=("auto", "serial", "pool", "fleet"),
-        default="auto",
-        help=(
-            "where pending jobs run: auto (pool when --jobs > 1), "
-            "serial, pool, or the distributed fleet queue drained by "
-            "'python -m repro.fleet worker' (see docs/distributed.md)"
-        ),
-    )
-    p_run.add_argument(
-        "--fleet-queue", default=None, metavar="PATH",
-        help=(
-            "fleet work queue for --executor fleet "
-            "(default <cache-dir>/fleet/queue.sqlite)"
         ),
     )
     p_run.add_argument(

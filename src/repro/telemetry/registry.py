@@ -12,7 +12,7 @@ Instruments are keyed by ``(name, sorted labels)`` and rendered as
 ``name{label=value,...}`` strings in snapshots and exports, so the
 on-disk metrics document is stable and diffable.
 
-Aggregation across ``ProcessPoolExecutor`` workers works by value, not
+Aggregation across process-pool workers works by value, not
 by sharing: each worker enables its own registry, :meth:`drain` returns
 a picklable :class:`MetricsSnapshot` (and resets the worker registry),
 and the parent folds it in with :meth:`merge`.  All merges are plain

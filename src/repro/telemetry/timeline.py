@@ -7,7 +7,7 @@ shared-monotonic ``ts``) into the Chrome Trace Event JSON format that
 
 Each process becomes a lane (``pid``/``tid``), so a ``--jobs N`` run
 renders as the parent's span tree with one lane per worker beside it;
-``log`` events (cache warnings, fleet notices) become instant events
+``log`` events (cache and trace-ingest warnings) become instant events
 pinned at their timestamps, and span fields (backend, fingerprint)
 ride along in ``args`` where the UI shows them on click.
 

@@ -1,8 +1,7 @@
 """The worker-process telemetry handoff protocol.
 
-Every executor that runs work in another process -- the engine's job
-pool and the fleet worker loop -- speaks the same three-step protocol,
-defined once here:
+The engine's job pool runs work in other processes and speaks a
+three-step protocol, defined once here:
 
 1. :func:`worker_begin` -- shed inherited parent state (a fork-started
    worker inherits the parent's registry *contents* and its open trace
@@ -19,9 +18,7 @@ The *capture* decision (should span events be buffered for the parent
 to re-emit?) is sticky per worker process: a forked worker decides from
 the parent's fork-time trace sink on its first job, and the decision
 must outlive that sink's closure because later jobs land on the same
-worker.  Fleet workers force it instead (``capture=True``): they run in
-processes the submitter never forked, so spans must always ship home
-through the queue.
+worker.
 
 The *count* flag says whether the worker counts at all: with
 ``count=True`` it counts into its own registry and ships a drained
@@ -59,8 +56,8 @@ __all__ = [
 
 
 #: Sticky per-worker decision: should spans be captured for the parent?
-#: Decided once per worker process (from the fork-time trace sink, or
-#: forced by the caller) and reused for every later job on that worker.
+#: Decided once per worker process (from the fork-time trace sink) and
+#: reused for every later job on that worker.
 _worker_capture: Optional[bool] = None
 
 
@@ -77,29 +74,18 @@ class WorkerShipment:
     events: List[dict] = field(default_factory=list)
     profile: Optional[dict] = None
 
-    @property
-    def empty(self) -> bool:
-        return (
-            (self.metrics is None or self.metrics.empty)
-            and not self.events
-            and not self.profile
-        )
 
-
-def worker_begin(count: bool, capture: Optional[bool] = None) -> bool:
-    """Start one worker-side collection window; returns the capture flag.
+def worker_begin(count: bool) -> None:
+    """Start one worker-side collection window.
 
     Sheds the inherited trace sink, then either enables a fresh
     worker-local registry (``count=True``: the worker counts and ships
     a snapshot home) or disables it (``count=False``: the parent owns
-    all counting).  ``capture`` pins the sticky span-capture decision;
-    when omitted, the first call in a process decides from the
-    fork-inherited trace state.
+    all counting).  The first call in a process makes the sticky
+    span-capture decision from the fork-inherited trace state.
     """
     global _worker_capture
-    if capture is not None:
-        _worker_capture = bool(capture)
-    elif _worker_capture is None:
+    if _worker_capture is None:
         _worker_capture = tracing_active()
     close_trace()
     if count:
@@ -110,7 +96,6 @@ def worker_begin(count: bool, capture: Optional[bool] = None) -> bool:
         disable()
     if _worker_capture:
         begin_span_capture()
-    return _worker_capture
 
 
 def worker_collect(count: bool) -> WorkerShipment:
@@ -126,17 +111,14 @@ def worker_collect(count: bool) -> WorkerShipment:
     return WorkerShipment(metrics=metrics, events=events, profile=prof)
 
 
-def absorb_shipment(shipment: Optional[WorkerShipment]) -> None:
+def absorb_shipment(shipment: WorkerShipment) -> None:
     """Fold a worker shipment into this process's telemetry state.
 
-    ``None`` (work that ran in-process and shipped nothing) is a no-op.
     Captured span events are re-emitted under the currently open span
     (see :func:`~repro.telemetry.spans.replay_captured`); metric and
     profile merges are plain additions, so parent totals are
     independent of how work was scheduled across workers.
     """
-    if shipment is None:
-        return
     if shipment.metrics is not None:
         get_registry().merge(shipment.metrics)
     if shipment.events:

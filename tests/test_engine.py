@@ -26,8 +26,10 @@ from repro.engine import (
     SimJob,
     SpecError,
     TraceCache,
+    configure_engine,
 )
-from repro.engine.cache import _LruBudget
+from repro.engine import engine as engine_mod
+from repro.engine.cache import DEFAULT_EVENT_BUDGET, _LruBudget
 
 JOB = SimJob(
     benchmark="gzip",
@@ -240,6 +242,32 @@ class TestEngineRun:
             Engine(max_workers=0)
         with pytest.raises(ValueError):
             Engine().run([JOB], max_workers=0)
+
+
+class TestConfigureEngine:
+    @pytest.fixture(autouse=True)
+    def _no_default_engine(self, monkeypatch):
+        monkeypatch.setattr(engine_mod, "_default_engine", None)
+
+    @pytest.mark.parametrize("path", ["first", "reset", "reconfigure"])
+    @pytest.mark.parametrize(
+        "knob, value",
+        [("max_workers", 0), ("event_budget", 0), ("event_budget", -5)],
+    )
+    def test_rejects_what_engine_rejects(self, path, knob, value):
+        with pytest.raises(ValueError, match=knob) as direct:
+            Engine(**{knob: value})
+        if path != "first":
+            configure_engine()
+        before = engine_mod._default_engine
+        with pytest.raises(ValueError) as configured:
+            configure_engine(reset=path == "reset", **{knob: value})
+        assert str(configured.value) == str(direct.value)
+        # A rejected call changes nothing.
+        assert engine_mod._default_engine is before
+        if before is not None:
+            assert before.max_workers == 1
+            assert before._replays._lru.budget == DEFAULT_EVENT_BUDGET
 
 
 class TestRunnerFlags:

@@ -1,9 +1,9 @@
-"""The pluggable executor layer: serial and pool.
+"""The engine's fan-out: inline below two processes, pooled above.
 
-The refactor contract: all process fan-out goes through
-:mod:`repro.engine.executor` (no direct ``ProcessPoolExecutor`` usage
-left in the engine), and executor choice is a throughput knob only --
-serial, pool and auto produce bit-identical outcomes.
+The contract: all process fan-out goes through
+:func:`repro.engine.executor.execute` (no direct process-pool
+usage left in the engine), and the worker count is a throughput knob
+only -- inline and pooled runs produce bit-identical outcomes.
 """
 
 import inspect
@@ -11,13 +11,8 @@ import inspect
 import pytest
 
 from repro import telemetry
-from repro.engine import (
-    Engine,
-    PoolExecutor,
-    SerialExecutor,
-    SimJob,
-    resolve_executor,
-)
+from repro.engine import Engine, SimJob
+from repro.engine import engine as engine_mod
 from repro.engine.canonical import canonical_metrics
 
 
@@ -29,7 +24,7 @@ def _jobs(n=3, n_branches=1500):
 
 
 class TestNoDirectPoolUsage:
-    """Acceptance criterion: fan-out only via the Executor abstraction."""
+    """Fan-out lives in the executor module only."""
 
     @pytest.mark.parametrize("module_name", ["engine"])
     def test_no_process_pool_executor(self, module_name):
@@ -40,72 +35,45 @@ class TestNoDirectPoolUsage:
         assert "ProcessPoolExecutor" not in source
 
 
-class TestResolveExecutor:
-    def test_auto_picks_by_workers(self):
-        assert isinstance(resolve_executor("auto", workers=1), SerialExecutor)
-        assert isinstance(resolve_executor(None, workers=1), SerialExecutor)
-        pool = resolve_executor("auto", workers=4)
-        assert isinstance(pool, PoolExecutor)
-        assert pool.max_workers == 4
-
-    def test_explicit_names(self):
-        assert isinstance(resolve_executor("serial", workers=4), SerialExecutor)
-        assert isinstance(resolve_executor("pool", workers=1), PoolExecutor)
-
-    def test_instance_passthrough(self):
-        executor = PoolExecutor(2)
-        assert resolve_executor(executor, workers=8) is executor
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            resolve_executor("carrier-pigeon")
-
-    def test_fleet_needs_a_queue(self):
-        with pytest.raises(ValueError, match="fleet"):
-            resolve_executor("fleet")
-
-    def test_fleet_from_cache_dir(self, tmp_path):
-        from repro.fleet import FleetExecutor
-
-        executor = resolve_executor("fleet", cache_dir=str(tmp_path))
-        assert isinstance(executor, FleetExecutor)
-        assert executor.queue_path.startswith(str(tmp_path))
-
-    def test_engine_validates_executor_name(self):
-        with pytest.raises(ValueError, match="executor"):
-            Engine(executor="carrier-pigeon")
-
-
 class TestExecutorEquivalence:
-    def test_serial_pool_auto_agree(self):
+    def test_inline_and_pool_agree(self):
         jobs = _jobs()
-        serial = Engine(max_workers=2, executor="serial").run(jobs)
-        pool = Engine(max_workers=2, executor="pool").run(jobs)
-        auto = Engine(max_workers=2).run(jobs)
-        for a, b, c in zip(serial, pool, auto):
-            assert a.events == b.events == c.events
-            assert (
-                canonical_metrics(a.result)
-                == canonical_metrics(b.result)
-                == canonical_metrics(c.result)
-            )
+        inline = Engine(max_workers=1).run(jobs)
+        pool = Engine(max_workers=2).run(jobs)
+        for a, b in zip(inline, pool):
+            assert a.events == b.events
+            assert canonical_metrics(a.result) == canonical_metrics(b.result)
 
     def test_pool_delegates_single_job_inline(self):
-        pool = PoolExecutor(4)
-        assert not pool.will_distribute(1)
-        assert pool.will_distribute(2)
-        assert not PoolExecutor(1).will_distribute(5)
-        assert not SerialExecutor().will_distribute(5)
+        engine = Engine(max_workers=4)
+        engine.run(_jobs(1))
+        assert engine.stats.executed == 1
+        assert engine.stats.parallel_executed == 0
 
     def test_parallel_tally_counts_distributed_batches_only(self):
         jobs = _jobs(2)
-        engine = Engine(max_workers=2, executor="pool")
+        engine = Engine(max_workers=2)
         engine.run(jobs)
         assert engine.stats.parallel_executed == 2
-        serial = Engine(max_workers=2, executor="serial")
+        serial = Engine(max_workers=1)
         serial.run(jobs)
         assert serial.stats.parallel_executed == 0
         assert serial.stats.executed == 2
+
+    def test_inline_path_looks_up_replay_at_call_time(self, monkeypatch):
+        # Instrumentation wraps the module-level _replay_trace by name;
+        # the inline path must see the wrapper, not a bound original.
+        seen = []
+        original = engine_mod._replay_trace
+
+        def wrapped(job, trace):
+            seen.append(job.fingerprint)
+            return original(job, trace)
+
+        monkeypatch.setattr(engine_mod, "_replay_trace", wrapped)
+        jobs = _jobs(2)
+        Engine(max_workers=1).run(jobs)
+        assert seen == [job.fingerprint for job in jobs]
 
 
 class TestPoolTelemetryShipments:
@@ -114,7 +82,7 @@ class TestPoolTelemetryShipments:
         registry = telemetry.enable()
         registry.reset()
         try:
-            Engine(max_workers=2, executor="pool").run(jobs)
+            Engine(max_workers=2).run(jobs)
             snap = registry.snapshot()
             replays = sum(
                 snap.counter_series("engine_replays_total").values()

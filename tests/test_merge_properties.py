@@ -1,135 +1,37 @@
-"""Property tests: accumulators must merge like a monoid.
+"""Property tests: confidence accumulators must merge like a monoid.
 
-The segmented executor relies on two algebraic facts about the metrics
-layer, checked here with hypothesis over arbitrary event streams and
-cut points:
-
-- **associativity** -- how a stream is split into segments cannot
-  change the merged result;
-- **order independence of the counters** -- the confusion-matrix and
-  counter fields commute (the ordered raw-output lists are the one
-  documented exception: they concatenate in operand order, which is
-  exactly what in-order segment merging needs).
+Table 3, the ablations and the seed-stability study sum per-benchmark
+confidence matrices with :meth:`ConfidenceMatrix.merge`, so the summed
+Spec/PVN must not depend on how the record stream was split or on the
+order the benchmarks are folded in.  Checked here with hypothesis over
+arbitrary record streams and cut points.
 """
-
-import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.frontend import FrontEndEvent, FrontEndResult, aggregate_event
-from repro.core.metrics import MetricsCollector
-from repro.core.reversal import BranchAction, PolicyDecision
-from repro.core.types import ConfidenceSignal
-from repro.pipeline.stats import SimStats
+from repro.core.metrics import ConfidenceMatrix, MetricsCollector
 
-_ACTIONS = (BranchAction.NORMAL, BranchAction.GATE, BranchAction.REVERSE)
-
-
-@st.composite
-def events(draw):
-    pc = draw(st.sampled_from([0x400, 0x404, 0x408, 0x40C]))
-    taken = draw(st.booleans())
-    prediction = draw(st.booleans())
-    action = draw(st.sampled_from(_ACTIONS))
-    final = (not prediction) if action is BranchAction.REVERSE else prediction
-    level = draw(st.integers(min_value=0, max_value=2))
-    raw = float(draw(st.integers(min_value=-64, max_value=64)))
-    ctor = (
-        ConfidenceSignal.high,
-        ConfidenceSignal.weak_low,
-        ConfidenceSignal.strong_low,
-    )[level]
-    return FrontEndEvent(
-        pc=pc,
-        taken=taken,
-        prediction=prediction,
-        final_prediction=final,
-        signal=ctor(raw),
-        decision=PolicyDecision(action, final),
-        uops_before=draw(st.integers(min_value=0, max_value=20)),
-    )
+_RECORDS = st.lists(
+    st.tuples(
+        st.sampled_from([0x10, 0x20, 0x30]),
+        st.booleans(),
+        st.booleans(),
+    ),
+    max_size=50,
+)
 
 
-def _fold(stream, collect_outputs=True):
-    result = FrontEndResult()
-    for event in stream:
-        aggregate_event(result, event, collect_outputs)
-    return result
-
-
-def _counters(result):
-    return (
-        result.branches,
-        result.mispredictions,
-        result.final_mispredictions,
-        result.reversals,
-        result.reversals_correcting,
-        result.reversals_breaking,
-        result.metrics.overall.as_dict(),
-    )
-
-
-class TestFrontEndResultMerge:
-    @given(
-        stream=st.lists(events(), max_size=60),
-        data=st.data(),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_any_segmentation_merges_to_monolithic(self, stream, data):
-        monolithic = _fold(stream)
-        cut_a = data.draw(st.integers(min_value=0, max_value=len(stream)))
-        cut_b = data.draw(st.integers(min_value=cut_a, max_value=len(stream)))
-        merged = (
-            _fold(stream[:cut_a])
-            .merge(_fold(stream[cut_a:cut_b]))
-            .merge(_fold(stream[cut_b:]))
-        )
-        assert _counters(merged) == _counters(monolithic)
-        assert merged.outputs_correct == monolithic.outputs_correct
-        assert merged.outputs_mispredicted == monolithic.outputs_mispredicted
-
-    @given(
-        stream=st.lists(events(), max_size=60),
-        data=st.data(),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_merge_is_associative(self, stream, data):
-        cut_a = data.draw(st.integers(min_value=0, max_value=len(stream)))
-        cut_b = data.draw(st.integers(min_value=cut_a, max_value=len(stream)))
-        a = _fold(stream[:cut_a])
-        b = _fold(stream[cut_a:cut_b])
-        c = _fold(stream[cut_b:])
-        left = a.merge(b).merge(c)
-        right = a.merge(b.merge(c))
-        assert _counters(left) == _counters(right)
-        assert left.outputs_correct == right.outputs_correct
-        assert left.outputs_mispredicted == right.outputs_mispredicted
-
-    @given(stream_a=st.lists(events(), max_size=40),
-           stream_b=st.lists(events(), max_size=40))
-    @settings(max_examples=60, deadline=None)
-    def test_counters_commute(self, stream_a, stream_b):
-        a, b = _fold(stream_a), _fold(stream_b)
-        assert _counters(a.merge(b)) == _counters(b.merge(a))
-
-    def test_merge_leaves_operands_untouched(self):
-        a = FrontEndResult(branches=3, mispredictions=1)
-        b = FrontEndResult(branches=2)
-        a.merge(b)
-        assert (a.branches, b.branches) == (3, 2)
+def _matrix(records):
+    matrix = ConfidenceMatrix()
+    for _, low, mis in records:
+        matrix.record(low, mis)
+    return matrix
 
 
 class TestMetricsCollectorMerge:
     @given(
-        records=st.lists(
-            st.tuples(
-                st.sampled_from([0x10, 0x20, 0x30]),
-                st.booleans(),
-                st.booleans(),
-            ),
-            max_size=50,
-        ),
+        records=_RECORDS,
         data=st.data(),
         per_pc=st.booleans(),
     )
@@ -154,41 +56,13 @@ class TestMetricsCollectorMerge:
         } == {pc: m.as_dict() for pc, m in monolithic.per_pc.items()}
 
 
-class TestSimStatsMerge:
-    @given(
-        values=st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=1000),
-                st.integers(min_value=0, max_value=1000),
-                st.floats(min_value=0, max_value=1e6, allow_nan=False),
-            ),
-            min_size=3,
-            max_size=3,
-        )
-    )
+class TestConfidenceMatrixMerge:
+    @given(streams=st.lists(_RECORDS, min_size=1, max_size=4), data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_merge_is_associative_and_commutative(self, values):
-        stats = [
-            SimStats(
-                branches=b,
-                mispredictions=m,
-                total_cycles=c,
-                gated_cycles=c / 2,
-            )
-            for b, m, c in values
-        ]
-        a, b, c = stats
-        left = a.merge(b).merge(c)
-        right = a.merge(b.merge(c))
-        # Integer counters are exactly associative; cycle floats are
-        # associative up to rounding (the engine merges segments in one
-        # fixed order, so rounding is also deterministic there).
-        assert (left.branches, left.mispredictions) == (
-            right.branches,
-            right.mispredictions,
-        )
-        assert left.total_cycles == pytest.approx(right.total_cycles)
-        assert left.gated_cycles == pytest.approx(right.gated_cycles)
-        ab, ba = a.merge(b), b.merge(a)
-        assert (ab.branches, ab.mispredictions) == (ba.branches, ba.mispredictions)
-        assert ab.total_cycles == pytest.approx(ba.total_cycles)
+    def test_fold_order_does_not_change_the_sum(self, streams, data):
+        monolithic = _matrix([r for stream in streams for r in stream])
+        order = data.draw(st.permutations(range(len(streams))))
+        total = ConfidenceMatrix()
+        for i in order:
+            total = total.merge(_matrix(streams[i]))
+        assert total.as_dict() == monolithic.as_dict()

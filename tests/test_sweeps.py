@@ -12,15 +12,13 @@ import json
 import pytest
 
 from repro import telemetry
-from repro.engine import configure_engine
-from repro.experiments import runner
+from repro.engine import configure_engine, get_engine
 from repro.experiments.common import ExperimentSettings
 from repro.experiments.runner import (
     EXPERIMENT_JOBS,
     EXPERIMENTS,
+    EXTENSION_EXPERIMENTS,
     PAPER_EXPERIMENTS,
-    SUITES,
-    resolve_suite,
 )
 from repro.results import ResultStore
 from repro.sweeps import (
@@ -44,6 +42,15 @@ SPEC = SweepSpec(
     name="tiny",
     description="test sweep",
     experiments=("table2", "figure4_5"),
+    instances=(SweepInstance(name="default"),),
+)
+
+#: SPEC plus one experiment, so a resume after the first job still has
+#: a batch of two or more for the process pool.
+RESUME_SPEC = SweepSpec(
+    name="tiny-resume",
+    description="test sweep with three unique jobs",
+    experiments=("table2", "figure4_5", "latency"),
     instances=(SweepInstance(name="default"),),
 )
 
@@ -78,14 +85,13 @@ class TestSpec:
                 assert experiment in EXPERIMENT_JOBS
 
     def test_paper_spec_matches_full_suite(self):
-        assert load_spec("paper").experiments == SUITES["full"]
+        assert load_spec("paper").experiments == tuple(PAPER_EXPERIMENTS)
 
     def test_extension_specs_cover_retired_suites(self):
-        covered = set(load_spec("extensions").experiments)
-        retired = set(
-            SUITES["ext"] + SUITES["ext2"] + SUITES["ext3"] + SUITES["ext4"]
+        covered = set(load_spec("extensions").experiments) | set(
+            load_spec("h2p").experiments
         )
-        assert retired <= covered
+        assert covered == set(EXTENSION_EXPERIMENTS)
 
     def test_load_rejects_bad_specs(self, tmp_path):
         def _load(doc):
@@ -171,12 +177,13 @@ class TestRunSweep:
             with pytest.raises(KeyError, match="table2"):
                 render_from_store(SPEC, store, BASE)
 
+    @pytest.mark.parametrize("max_workers", [1, 2])
     def test_crash_resume_executes_only_missing_jobs(
-        self, tmp_path, fresh_engine
+        self, tmp_path, fresh_engine, max_workers
     ):
         path = str(tmp_path / "r.sqlite")
-        jobs = SweepDag.from_spec(SPEC, BASE).job_list()
-        assert len(jobs) >= 2
+        jobs = SweepDag.from_spec(RESUME_SPEC, BASE).job_list()
+        assert len(jobs) >= 3
         # The sweep dies after its first job: store and disk cache hold
         # exactly that completed prefix (both are written per-outcome).
         with ResultStore(path) as store:
@@ -190,13 +197,19 @@ class TestRunSweep:
             assert store.job_count() == 1
 
         # Fresh process: memory caches gone, disk cache + store survive.
-        configure_engine(reset=True, cache_dir=str(tmp_path / "cache"))
+        configure_engine(
+            reset=True,
+            cache_dir=str(tmp_path / "cache"),
+            max_workers=max_workers,
+        )
         telemetry.enable()
         before = telemetry.get_registry().snapshot()
         with ResultStore(path) as store:
-            outcome = run_sweep(SPEC, store, BASE)
+            outcome = run_sweep(RESUME_SPEC, store, BASE)
             assert store.job_count() == len(jobs)
         delta = telemetry.get_registry().snapshot().since(before)
+        # Pool workers count replays into their own registries; the
+        # parent sees them only through the merged shipments.
         executed = delta.counter(
             "engine_replays_total", backend="reference"
         ) + delta.counter("engine_replays_total", backend="fast")
@@ -204,6 +217,8 @@ class TestRunSweep:
         # served by the disk cache during the experiment phase.
         assert executed == len(jobs) - 1
         assert outcome.executed_jobs == len(jobs) - 1
+        parallel = len(jobs) - 1 if max_workers > 1 else 0
+        assert get_engine().stats.parallel_executed == parallel
 
     def test_sink_crash_mid_batch_preserves_completed_work(
         self, tmp_path, fresh_engine
@@ -327,33 +342,3 @@ class TestCli:
         assert "REGRESSION" in out
         doc = json.loads((tmp_path / "BENCH_tiny.json").read_text())
         assert len(doc["points"]) == 2
-
-
-class TestRunnerSuiteShim:
-    def test_suites_resolve_to_known_experiments(self):
-        for name in SUITES:
-            for experiment in resolve_suite(name):
-                assert experiment in EXPERIMENTS
-        assert resolve_suite("full") == list(PAPER_EXPERIMENTS)
-        with pytest.raises(KeyError, match="known suites"):
-            resolve_suite("nonesuch")
-
-    def test_suite_flag_expands_like_the_retired_txt_lists(self, monkeypatch):
-        captured = {}
-
-        def fake_run_all(settings, names=None, extensions=False):
-            captured["names"] = names
-            return runner.RunReport()
-
-        monkeypatch.setattr(runner, "run_all", fake_run_all)
-        assert runner.main(["--suite", "fig89"]) == 0
-        assert captured["names"] == ["figure8", "figure9", "figure6_7"]
-
-        assert runner.main(["--suite", "ext3", "--suite", "ext4"]) == 0
-        assert captured["names"] == ["ablation_indexing", "throttle"]
-
-        # Explicit ids append after the suite, without repeats.
-        assert runner.main(["--suite", "fig89", "figure8", "table2"]) == 0
-        assert captured["names"] == [
-            "figure8", "figure9", "figure6_7", "table2",
-        ]
