@@ -62,17 +62,8 @@ def main() -> None:
                 {
                     "lambda": threshold,
                     "PL": pl,
-                    "U %": round(
-                        100.0
-                        * (base.total_uops_executed - stats.total_uops_executed)
-                        / base.total_uops_executed,
-                        1,
-                    ),
-                    "P %": round(
-                        100.0 * (stats.total_cycles - base.total_cycles)
-                        / base.total_cycles,
-                        1,
-                    ),
+                    "U %": round(stats.uop_reduction_vs(base), 1),
+                    "P %": round(stats.performance_loss_vs(base), 1),
                     "stalls": stats.gating_stalls,
                     "wrong-path saved": round(stats.wrong_path_uops_saved),
                 }

@@ -60,12 +60,9 @@ from repro.pipeline import (
     PIPELINE_PRESETS,
     STANDARD_20X4,
     WIDE_20X8,
-    GatingRun,
     PipelineConfig,
     PipelineSimulator,
     SimStats,
-    compare_policies,
-    run_machine,
 )
 from repro.predictors import (
     BimodalPredictor,
@@ -123,12 +120,9 @@ __all__ = [
     "PIPELINE_PRESETS",
     "STANDARD_20X4",
     "WIDE_20X8",
-    "GatingRun",
     "PipelineConfig",
     "PipelineSimulator",
     "SimStats",
-    "compare_policies",
-    "run_machine",
     # predictors
     "BimodalPredictor",
     "BranchPredictor",

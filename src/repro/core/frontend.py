@@ -24,14 +24,12 @@ from repro.core.reversal import (
 )
 from repro.core.types import ConfidenceSignal
 from repro.predictors.base import BranchPredictor
-from repro.trace.record import BranchRecord, Trace
+from repro.trace.record import BranchRecord
 
 __all__ = [
     "FrontEndEvent",
     "FrontEndResult",
     "FrontEnd",
-    "aggregate_event",
-    "apply_policy",
 ]
 
 
@@ -102,36 +100,6 @@ class FrontEndResult:
         return self.reversals_correcting - self.reversals_breaking
 
 
-def aggregate_event(
-    res: FrontEndResult, event: FrontEndEvent, collect_outputs: bool = False
-) -> None:
-    """Fold one event into a result.
-
-    A pure function of ``(event, collect_outputs)``: it reads no
-    front-end state, so any warmup or output-collection setting can be
-    applied when folding a cached event stream.
-    """
-    res.branches += 1
-    if not event.predictor_correct:
-        res.mispredictions += 1
-    if not event.final_correct:
-        res.final_mispredictions += 1
-    if event.decision.action is BranchAction.REVERSE:
-        res.reversals += 1
-        if not event.predictor_correct and event.final_correct:
-            res.reversals_correcting += 1
-        elif event.predictor_correct and not event.final_correct:
-            res.reversals_breaking += 1
-    res.metrics.record(
-        event.pc, event.signal.low_confidence, not event.predictor_correct
-    )
-    if collect_outputs:
-        if event.predictor_correct:
-            res.outputs_correct.append(event.signal.raw)
-        else:
-            res.outputs_mispredicted.append(event.signal.raw)
-
-
 class FrontEnd:
     """Replays traces through predictor + estimator + policy.
 
@@ -141,12 +109,11 @@ class FrontEnd:
         policy: Speculation policy; defaults to no control.
         collect_outputs: Record raw estimator outputs split by
             prediction outcome (needed by the density figures).
-        train_estimator_on_final: If True, the estimator trains on the
-            correctness of the *followed* (possibly reversed)
-            prediction rather than the raw one.  The paper trains on the
-            raw prediction outcome -- the estimator models the
-            predictor, not the policy -- so this defaults to False and
-            exists for ablation.
+
+    The estimator trains on the correctness of the *raw* prediction,
+    as in the paper: it models the predictor, not the policy.  So the
+    predictor and estimator state, and every event's ``prediction`` and
+    ``signal``, do not depend on the policy.
     """
 
     def __init__(
@@ -155,13 +122,11 @@ class FrontEnd:
         estimator: ConfidenceEstimator,
         policy: Optional[SpeculationPolicy] = None,
         collect_outputs: bool = False,
-        train_estimator_on_final: bool = False,
     ):
         self.predictor = predictor
         self.estimator = estimator
         self.policy = policy if policy is not None else NoSpeculationControl()
         self.collect_outputs = collect_outputs
-        self.train_estimator_on_final = train_estimator_on_final
 
     def process(self, record: BranchRecord) -> FrontEndEvent:
         """Run one dynamic branch through the full protocol."""
@@ -170,15 +135,9 @@ class FrontEnd:
         signal = self.estimator.estimate(pc, prediction)
         decision = self.policy.decide(signal, prediction)
 
-        predictor_correct = prediction == record.taken
-        if self.train_estimator_on_final:
-            estimator_correct = decision.final_prediction == record.taken
-        else:
-            estimator_correct = predictor_correct
-
         # Retirement: train predictor and estimator, shift histories.
         self.predictor.update(pc, record.taken, prediction)
-        self.estimator.train(pc, prediction, estimator_correct, signal)
+        self.estimator.train(pc, prediction, prediction == record.taken, signal)
         self.estimator.shift_history(record.taken)
 
         return FrontEndEvent(
@@ -218,43 +177,27 @@ class FrontEnd:
             event = self.process(record)
             if i < warmup:
                 continue
-            self._aggregate(res, event)
+            self.aggregate(res, event)
         return res
-
-    def events(self, trace: Trace) -> Iterable[FrontEndEvent]:
-        """Yield per-branch events (the pipeline simulator's input)."""
-        for record in trace:
-            yield self.process(record)
 
     def aggregate(self, res: FrontEndResult, event: FrontEndEvent) -> None:
         """Fold one event into a result (public for streaming drivers)."""
-        self._aggregate(res, event)
-
-    def _aggregate(self, res: FrontEndResult, event: FrontEndEvent) -> None:
-        aggregate_event(res, event, self.collect_outputs)
-
-
-def apply_policy(events, policy: SpeculationPolicy):
-    """Re-derive policy decisions over an existing event stream.
-
-    Predictor and estimator state evolution is independent of the
-    speculation policy (both train on the *raw* prediction outcome), so
-    one front-end replay can serve many policy and pipeline
-    configurations: strip the decisions and let a different policy
-    re-decide.  Returns a new list of events.
-    """
-    out = []
-    for event in events:
-        decision = policy.decide(event.signal, event.prediction)
-        out.append(
-            FrontEndEvent(
-                pc=event.pc,
-                taken=event.taken,
-                prediction=event.prediction,
-                final_prediction=decision.final_prediction,
-                signal=event.signal,
-                decision=decision,
-                uops_before=event.uops_before,
-            )
+        res.branches += 1
+        if not event.predictor_correct:
+            res.mispredictions += 1
+        if not event.final_correct:
+            res.final_mispredictions += 1
+        if event.decision.action is BranchAction.REVERSE:
+            res.reversals += 1
+            if not event.predictor_correct and event.final_correct:
+                res.reversals_correcting += 1
+            elif event.predictor_correct and not event.final_correct:
+                res.reversals_breaking += 1
+        res.metrics.record(
+            event.pc, event.signal.low_confidence, not event.predictor_correct
         )
-    return out
+        if self.collect_outputs:
+            if event.predictor_correct:
+                res.outputs_correct.append(event.signal.raw)
+            else:
+                res.outputs_mispredicted.append(event.signal.raw)

@@ -10,7 +10,7 @@ achieve on a given pipeline.
 
 Oracles operate on replayed event streams rather than inside the
 front-end (they need the outcome at estimate time, which no hardware
-estimator has), mirroring :func:`repro.core.frontend.apply_policy`.
+estimator has).
 """
 
 from __future__ import annotations

@@ -17,6 +17,10 @@ veneer over :mod:`repro.engine`:
 - :func:`replay_benchmark` -- single-job convenience wrapper, same
   cache underneath.
 
+Timing goes through ``get_engine().simulate(events, config)``, and U/P
+through :meth:`SimStats.uop_reduction_vs` /
+:meth:`SimStats.performance_loss_vs`.
+
 Experiments must describe components as specs
 (:class:`repro.engine.EstimatorSpec` etc.), never as callables: specs
 are what make jobs hashable, picklable and content-addressable.
@@ -36,8 +40,6 @@ from repro.engine import (
     get_engine,
 )
 from repro.engine.specs import BASELINE_PREDICTOR, NO_POLICY
-from repro.pipeline.config import PipelineConfig
-from repro.pipeline.stats import SimStats
 from repro.trace.benchmarks import BENCHMARK_NAMES
 from repro.trace.record import Trace
 
@@ -49,8 +51,6 @@ __all__ = [
     "job_for",
     "run_jobs",
     "replay_benchmark",
-    "simulate_events",
-    "weighted_average",
 ]
 
 
@@ -156,9 +156,9 @@ def replay_benchmark(
     """One cached front-end replay of a benchmark.
 
     Returns a :class:`ReplayOutcome`, unpackable as ``events, result``:
-    the post-warm-up event list (reusable across policies via
-    :func:`repro.core.frontend.apply_policy` and across pipeline
-    configurations) plus the aggregated front-end result.
+    the post-warm-up event list (reusable across pipeline
+    configurations via ``get_engine().simulate``) plus the aggregated
+    front-end result.
     """
     return get_engine().replay(
         job_for(
@@ -170,18 +170,3 @@ def replay_benchmark(
             collect_outputs=collect_outputs,
         )
     )
-
-
-def simulate_events(events, config: PipelineConfig) -> SimStats:
-    """Run the pipeline model over a prepared event stream."""
-    return get_engine().simulate(events, config)
-
-
-def weighted_average(values: Sequence[float], weights: Sequence[float]) -> float:
-    """Weighted mean (the paper's per-benchmark weighted averages)."""
-    if len(values) != len(weights):
-        raise ValueError("values and weights must have the same length")
-    total = sum(weights)
-    if total == 0:
-        return 0.0
-    return sum(v * w for v, w in zip(values, weights)) / total

@@ -14,13 +14,12 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.analysis.tables import format_table
-from repro.engine import ALWAYS_HIGH, GATING_POLICY, EstimatorSpec
+from repro.engine import ALWAYS_HIGH, GATING_POLICY, EstimatorSpec, get_engine
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
     ExperimentSettings,
     job_for,
     run_jobs,
-    simulate_events,
 )
 from repro.pipeline.config import BASELINE_40X4, PipelineConfig
 from repro.pipeline.energy import EnergyModel
@@ -109,17 +108,14 @@ def run(
     gated = config.with_gating(1)
     samples = {t: [] for t in THRESHOLDS}
     for name in settings.benchmarks:
-        base_stats = simulate_events(outcomes[(name, None)].events, config)
+        base_stats = get_engine().simulate(outcomes[(name, None)].events, config)
         base_energy = model.evaluate(base_stats, estimator_active=False)
         for lam in THRESHOLDS:
-            stats = simulate_events(outcomes[(name, lam)].events, gated)
+            stats = get_engine().simulate(outcomes[(name, lam)].events, gated)
             energy = model.evaluate(stats, estimator_active=True)
-            u = 100.0 * (
-                base_stats.total_uops_executed - stats.total_uops_executed
-            ) / base_stats.total_uops_executed
             samples[lam].append(
                 (
-                    u,
+                    stats.uop_reduction_vs(base_stats),
                     energy.savings_vs(base_energy),
                     energy.edp_savings_vs(base_energy),
                 )

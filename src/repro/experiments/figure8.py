@@ -17,13 +17,17 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.analysis.tables import format_table
-from repro.engine import ALWAYS_HIGH, THREE_REGION_POLICY, EstimatorSpec
+from repro.engine import (
+    ALWAYS_HIGH,
+    THREE_REGION_POLICY,
+    EstimatorSpec,
+    get_engine,
+)
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
     ExperimentSettings,
     job_for,
     run_jobs,
-    simulate_events,
 )
 from repro.pipeline.config import BASELINE_40X4, PipelineConfig
 
@@ -133,12 +137,10 @@ def run(
     for i, name in enumerate(settings.benchmarks):
         base_events, _ = outcomes[2 * i]
         events, frontend = outcomes[2 * i + 1]
-        base = simulate_events(base_events, config)
-        stats = simulate_events(events, gated_config)
-        u = 100.0 * (
-            base.total_uops_executed - stats.total_uops_executed
-        ) / base.total_uops_executed
-        p = 100.0 * (stats.total_cycles - base.total_cycles) / base.total_cycles
+        base = get_engine().simulate(base_events, config)
+        stats = get_engine().simulate(events, gated_config)
+        u = stats.uop_reduction_vs(base)
+        p = stats.performance_loss_vs(base)
         rows.append(
             Figure8Row(
                 benchmark=name,

@@ -16,13 +16,12 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.analysis.tables import format_table
-from repro.engine import ALWAYS_HIGH, GATING_POLICY, EstimatorSpec
+from repro.engine import ALWAYS_HIGH, GATING_POLICY, EstimatorSpec, get_engine
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
     ExperimentSettings,
     job_for,
     run_jobs,
-    simulate_events,
 )
 from repro.pipeline.config import BASELINE_40X4, PipelineConfig
 
@@ -105,16 +104,14 @@ def run(
     for i, name in enumerate(settings.benchmarks):
         base_events, _ = outcomes[2 * i]
         events, _ = outcomes[2 * i + 1]
-        base = simulate_events(base_events, config)
+        base = get_engine().simulate(base_events, config)
         for lat in LATENCIES:
-            stats = simulate_events(
+            stats = get_engine().simulate(
                 events, config.with_gating(1, estimator_latency=lat)
             )
-            u = 100.0 * (
-                base.total_uops_executed - stats.total_uops_executed
-            ) / base.total_uops_executed
-            p = 100.0 * (stats.total_cycles - base.total_cycles) / base.total_cycles
-            samples[lat].append((u, p))
+            samples[lat].append(
+                (stats.uop_reduction_vs(base), stats.performance_loss_vs(base))
+            )
     rows = [
         LatencyRow(
             latency=lat,

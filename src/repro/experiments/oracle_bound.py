@@ -15,13 +15,12 @@ from typing import List, Tuple
 from repro.analysis.tables import format_table
 from repro.core.oracle import oracle_events
 from repro.core.reversal import GatingOnlyPolicy
-from repro.engine import ALWAYS_HIGH, GATING_POLICY, EstimatorSpec
+from repro.engine import ALWAYS_HIGH, GATING_POLICY, EstimatorSpec, get_engine
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
     ExperimentSettings,
     job_for,
     run_jobs,
-    simulate_events,
 )
 from repro.pipeline.config import BASELINE_40X4, PipelineConfig
 
@@ -102,17 +101,11 @@ def run(
 
     for i, name in enumerate(settings.benchmarks):
         base_events, _ = outcomes[2 * i]
-        base = simulate_events(base_events, config)
+        base = get_engine().simulate(base_events, config)
 
         def measure(events):
-            stats = simulate_events(events, gated)
-            u = 100.0 * (
-                base.total_uops_executed - stats.total_uops_executed
-            ) / base.total_uops_executed
-            p = 100.0 * (
-                stats.total_cycles - base.total_cycles
-            ) / base.total_cycles
-            return u, p
+            stats = get_engine().simulate(events, gated)
+            return stats.uop_reduction_vs(base), stats.performance_loss_vs(base)
 
         for cov, acc in ORACLE_POINTS:
             events = oracle_events(

@@ -15,13 +15,12 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.analysis.tables import format_table
-from repro.engine import ALWAYS_HIGH
+from repro.engine import ALWAYS_HIGH, get_engine
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
     ExperimentSettings,
     job_for,
     run_jobs,
-    simulate_events,
 )
 from repro.pipeline.config import PIPELINE_PRESETS
 from repro.trace.benchmarks import TABLE2_MISPREDICTS_PER_KUOP
@@ -107,7 +106,7 @@ def run(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Table2Result:
         increases: Dict[str, float] = {}
         mispredicts_per_kuop = 0.0
         for machine in MACHINES:
-            stats = simulate_events(events, PIPELINE_PRESETS[machine])
+            stats = get_engine().simulate(events, PIPELINE_PRESETS[machine])
             increases[machine] = stats.wrong_path_increase
             mispredicts_per_kuop = stats.mispredicts_per_kuop
         rows.append(

@@ -18,13 +18,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.tables import format_table
-from repro.engine import ALWAYS_HIGH, GATING_POLICY, EstimatorSpec
+from repro.engine import ALWAYS_HIGH, GATING_POLICY, EstimatorSpec, get_engine
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
     ExperimentSettings,
     job_for,
     run_jobs,
-    simulate_events,
 )
 from repro.pipeline.config import BASELINE_40X4, PipelineConfig
 
@@ -161,14 +160,12 @@ def run(
     per_benchmark: Dict[str, List[GatingCell]] = {}
 
     for name in settings.benchmarks:
-        base = simulate_events(outcomes[(name, "base", 0.0)].events, config)
+        base = get_engine().simulate(outcomes[(name, "base", 0.0)].events, config)
         bench_cells: List[GatingCell] = []
 
         def record(estimator: str, lam: float, pl: int, stats) -> None:
-            u = 100.0 * (
-                base.total_uops_executed - stats.total_uops_executed
-            ) / base.total_uops_executed
-            p = 100.0 * (stats.total_cycles - base.total_cycles) / base.total_cycles
+            u = stats.uop_reduction_vs(base)
+            p = stats.performance_loss_vs(base)
             samples.setdefault((estimator, lam, pl), []).append((u, p))
             bench_cells.append(
                 GatingCell(estimator, lam, pl, u, p)
@@ -177,12 +174,12 @@ def run(
         for lam in JRS_THRESHOLDS:
             events = outcomes[(name, "JRS", lam)].events
             for pl in BRANCH_COUNTER_THRESHOLDS:
-                stats = simulate_events(events, config.with_gating(pl))
+                stats = get_engine().simulate(events, config.with_gating(pl))
                 record("JRS", lam, pl, stats)
 
         for lam in PERCEPTRON_THRESHOLDS:
             events = outcomes[(name, "perceptron", lam)].events
-            stats = simulate_events(events, config.with_gating(1))
+            stats = get_engine().simulate(events, config.with_gating(1))
             record("perceptron", lam, 1, stats)
 
         per_benchmark[name] = bench_cells

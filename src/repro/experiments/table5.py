@@ -18,13 +18,18 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.tables import format_table
-from repro.engine import ALWAYS_HIGH, GATING_POLICY, EstimatorSpec, PredictorSpec
+from repro.engine import (
+    ALWAYS_HIGH,
+    GATING_POLICY,
+    EstimatorSpec,
+    PredictorSpec,
+    get_engine,
+)
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
     ExperimentSettings,
     job_for,
     run_jobs,
-    simulate_events,
 )
 from repro.pipeline.config import BASELINE_40X4, PipelineConfig
 
@@ -142,17 +147,15 @@ def _ladder(
     samples: Dict[float, List[Tuple[float, float]]] = {t: [] for t in thresholds}
     kuops: List[float] = []
     for name in settings.benchmarks:
-        base = simulate_events(outcomes[(name, None)].events, config)
+        base = get_engine().simulate(outcomes[(name, None)].events, config)
         kuops.append(base.mispredicts_per_kuop)
         for lam in thresholds:
-            stats = simulate_events(
+            stats = get_engine().simulate(
                 outcomes[(name, lam)].events, config.with_gating(1)
             )
-            u = 100.0 * (
-                base.total_uops_executed - stats.total_uops_executed
-            ) / base.total_uops_executed
-            p = 100.0 * (stats.total_cycles - base.total_cycles) / base.total_cycles
-            samples[lam].append((u, p))
+            samples[lam].append(
+                (stats.uop_reduction_vs(base), stats.performance_loss_vs(base))
+            )
     avg_kuop = sum(kuops) / len(kuops)
     rows = []
     for lam in thresholds:

@@ -15,13 +15,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.tables import format_table
-from repro.engine import ALWAYS_HIGH, GATING_POLICY, EstimatorSpec
+from repro.engine import ALWAYS_HIGH, GATING_POLICY, EstimatorSpec, get_engine
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
     ExperimentSettings,
     job_for,
     run_jobs,
-    simulate_events,
 )
 from repro.pipeline.config import BASELINE_40X4, PipelineConfig
 
@@ -156,16 +155,14 @@ def run(
 
     samples: Dict[str, List[Tuple[float, float]]] = {}
     for name in settings.benchmarks:
-        base = simulate_events(outcomes[(name, None)].events, config)
+        base = get_engine().simulate(outcomes[(name, None)].events, config)
         for _, size in CONFIGURATIONS:
-            stats = simulate_events(
+            stats = get_engine().simulate(
                 outcomes[(name, size.label)].events, config.with_gating(1)
             )
-            u = 100.0 * (
-                base.total_uops_executed - stats.total_uops_executed
-            ) / base.total_uops_executed
-            p = 100.0 * (stats.total_cycles - base.total_cycles) / base.total_cycles
-            samples.setdefault(size.label, []).append((u, p))
+            samples.setdefault(size.label, []).append(
+                (stats.uop_reduction_vs(base), stats.performance_loss_vs(base))
+            )
     rows: List[Table6Row] = []
     for size_label, size in CONFIGURATIONS:
         pts = samples[size.label]

@@ -14,13 +14,12 @@ from dataclasses import dataclass, replace
 from typing import List, Tuple
 
 from repro.analysis.tables import format_table
-from repro.engine import ALWAYS_HIGH, GATING_POLICY, EstimatorSpec
+from repro.engine import ALWAYS_HIGH, GATING_POLICY, EstimatorSpec, get_engine
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
     ExperimentSettings,
     job_for,
     run_jobs,
-    simulate_events,
 )
 from repro.pipeline.config import BASELINE_40X4, PipelineConfig
 
@@ -110,7 +109,7 @@ def run(
 
     samples = {}
     for name in settings.benchmarks:
-        base = simulate_events(outcomes[(name, None)].events, config)
+        base = get_engine().simulate(outcomes[(name, None)].events, config)
         for lam in THRESHOLDS:
             events = outcomes[(name, lam)].events
             for label, mode, factor in MECHANISMS:
@@ -119,14 +118,10 @@ def run(
                     gating_mode=mode,
                     throttle_factor=factor,
                 )
-                stats = simulate_events(events, machine)
-                u = 100.0 * (
-                    base.total_uops_executed - stats.total_uops_executed
-                ) / base.total_uops_executed
-                p = 100.0 * (
-                    stats.total_cycles - base.total_cycles
-                ) / base.total_cycles
-                samples.setdefault((label, lam), []).append((u, p))
+                stats = get_engine().simulate(events, machine)
+                samples.setdefault((label, lam), []).append(
+                    (stats.uop_reduction_vs(base), stats.performance_loss_vs(base))
+                )
     rows = [
         ThrottleRow(
             mechanism=label,

@@ -350,7 +350,7 @@ def _signals(epass):
 
 
 def _aggregate(job, col, ppass, epass, final_arr, reverse_arr):
-    """Vectorized equivalent of FrontEnd._aggregate over the tail."""
+    """Vectorized equivalent of FrontEnd.aggregate over the tail."""
     from repro.core.frontend import FrontEndResult
 
     w = job.warmup
@@ -429,11 +429,7 @@ def replay_trace(job, trace):
     list covers post-warmup branches only and the result aggregates the
     same tail.
     """
-    col, ppass, epass = _run_passes(job, trace)
-    decisions, final_arr, reverse_arr = _decide(job, col, ppass, epass)
-    signals = _signals(epass)
-    result = _aggregate(job, col, ppass, epass, final_arr, reverse_arr)
-    events = _materialize_events(job, col, ppass, signals, decisions)
+    events, result, _, _ = replay_with_state(job, trace)
     return events, result
 
 

@@ -12,8 +12,13 @@ produces them:
 - :class:`~repro.pipeline.simulator.PipelineSimulator` -- a
   branch-granularity cycle model with explicit wrong-path fetch
   accounting, pipeline gating stalls and reversal recovery;
-- :mod:`~repro.pipeline.runner` -- convenience drivers that replay one
-  trace under baseline and policy machines and report U and P.
+- :class:`~repro.pipeline.stats.SimStats` -- the counters of one run,
+  and the one definition of U and P
+  (:meth:`~repro.pipeline.stats.SimStats.uop_reduction_vs`,
+  :meth:`~repro.pipeline.stats.SimStats.performance_loss_vs`).
+
+Experiments time event streams through ``Engine.simulate``
+(:mod:`repro.engine`), the one timing entry point.
 
 See DESIGN.md substitution note 2 for the relationship to the authors'
 cycle-accurate IA32 simulator.
@@ -28,7 +33,6 @@ from repro.pipeline.config import (
     PipelineConfig,
 )
 from repro.pipeline.energy import EnergyModel, EnergyReport
-from repro.pipeline.runner import GatingRun, compare_policies, run_machine
 from repro.pipeline.smt import SmtSimulator, SmtStats
 from repro.pipeline.simulator import PipelineSimulator
 from repro.pipeline.stats import SimStats
@@ -44,9 +48,6 @@ __all__ = [
     "SimStats",
     "EnergyModel",
     "EnergyReport",
-    "GatingRun",
     "SmtSimulator",
     "SmtStats",
-    "run_machine",
-    "compare_policies",
 ]

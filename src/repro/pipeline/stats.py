@@ -76,6 +76,18 @@ class SimStats:
             return 0.0
         return 1000.0 * self.mispredictions / self.correct_path_uops
 
+    def uop_reduction_vs(self, base: SimStats) -> float:
+        """U: % fewer uops executed than the ungated ``base`` run."""
+        return (
+            100.0
+            * (base.total_uops_executed - self.total_uops_executed)
+            / base.total_uops_executed
+        )
+
+    def performance_loss_vs(self, base: SimStats) -> float:
+        """P: % more cycles than the ``base`` run (negative = speedup)."""
+        return 100.0 * (self.total_cycles - base.total_cycles) / base.total_cycles
+
     def as_dict(self) -> dict:
         """Summary dictionary for reports."""
         return {

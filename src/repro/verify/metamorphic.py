@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List
 
-from repro.core.frontend import apply_policy
 from repro.core.oracle import oracle_events
 from repro.core.reversal import GatingOnlyPolicy
 from repro.engine.canonical import canonical_metrics
@@ -117,9 +116,8 @@ def _inv_always_high_policy_inert(engine, profile):
 
 def _inv_smt_single_thread_conserves_uops(engine, profile):
     """One SMT thread fetches exactly the trace's uops, gated or not."""
-    job = _base_job(engine, profile)
+    job = _base_job(engine, profile, policy=GATING_POLICY)
     events, _ = engine.run([job])[0]
-    events = apply_policy(events, GatingOnlyPolicy())
     expected = sum(e.uops_before + 1 for e in events)
     config = STANDARD_20X4.with_gating(1)
     on = SmtSimulator(config, gate_yields=True).simulate(events)

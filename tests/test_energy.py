@@ -67,31 +67,24 @@ class TestEnergyReport:
 
 
 class TestEndToEnd:
-    def test_gating_saves_energy(self, gzip_trace):
-        from repro.core.estimator import AlwaysHighEstimator
-        from repro.core.perceptron_estimator import PerceptronConfidenceEstimator
-        from repro.core.reversal import GatingOnlyPolicy, NoSpeculationControl
+    def test_gating_saves_energy(self):
+        from repro.engine import GATING_POLICY, Engine, EstimatorSpec, SimJob
         from repro.pipeline.config import BASELINE_40X4
-        from repro.pipeline.runner import run_machine
-        from repro.predictors.hybrid import make_baseline_hybrid
 
-        base = run_machine(
-            gzip_trace,
-            make_baseline_hybrid(),
-            AlwaysHighEstimator(),
-            NoSpeculationControl(),
-            BASELINE_40X4,
-            warmup=4000,
+        engine = Engine()
+        job = SimJob(benchmark="gzip", n_branches=12_000, warmup=4000, seed=7)
+        base_out, gated_out = engine.run(
+            [
+                job,
+                job.with_(
+                    estimator=EstimatorSpec.of("perceptron", threshold=-25),
+                    policy=GATING_POLICY,
+                ),
+            ]
         )
-        gated = run_machine(
-            gzip_trace,
-            make_baseline_hybrid(),
-            PerceptronConfidenceEstimator(threshold=-25),
-            GatingOnlyPolicy(),
-            BASELINE_40X4.with_gating(1),
-            warmup=4000,
-        )
+        base = engine.simulate(base_out.events, BASELINE_40X4)
+        gated = engine.simulate(gated_out.events, BASELINE_40X4.with_gating(1))
         model = EnergyModel()
-        base_e = model.evaluate(base.stats, estimator_active=False)
-        gated_e = model.evaluate(gated.stats, estimator_active=True)
+        base_e = model.evaluate(base, estimator_active=False)
+        gated_e = model.evaluate(gated, estimator_active=True)
         assert gated_e.savings_vs(base_e) > 0

@@ -1,16 +1,12 @@
 """Unit tests for the shared experiment infrastructure."""
 
-import pytest
-
-from repro.engine import ALWAYS_HIGH, GATING_POLICY, EstimatorSpec
+from repro.engine import ALWAYS_HIGH, GATING_POLICY, EstimatorSpec, get_engine
 from repro.experiments.common import (
     ExperimentSettings,
     get_trace,
     job_for,
     replay_benchmark,
     run_jobs,
-    simulate_events,
-    weighted_average,
 )
 from repro.pipeline.config import BASELINE_40X4
 
@@ -74,28 +70,15 @@ class TestRunJobs:
 class TestSimulateEvents:
     def test_runs_over_replay(self):
         events, _ = replay_benchmark("gzip", SMALL, ALWAYS_HIGH)
-        stats = simulate_events(events, BASELINE_40X4)
+        stats = get_engine().simulate(events, BASELINE_40X4)
         assert stats.branches == len(events)
         assert stats.total_cycles > 0
 
     def test_rerunnable(self):
         events, _ = replay_benchmark("gzip", SMALL, ALWAYS_HIGH)
-        a = simulate_events(events, BASELINE_40X4)
-        b = simulate_events(events, BASELINE_40X4)
+        a = get_engine().simulate(events, BASELINE_40X4)
+        b = get_engine().simulate(events, BASELINE_40X4)
         assert a.total_cycles == b.total_cycles
-
-
-class TestWeightedAverage:
-    def test_basic(self):
-        assert weighted_average([1.0, 3.0], [1.0, 1.0]) == 2.0
-        assert weighted_average([1.0, 3.0], [3.0, 1.0]) == 1.5
-
-    def test_zero_weights(self):
-        assert weighted_average([1.0], [0.0]) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            weighted_average([1.0], [1.0, 2.0])
 
 
 class TestRunnerCli:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.estimator import AlwaysHighEstimator
-from repro.core.frontend import FrontEnd, FrontEndResult, apply_policy
+from repro.core.frontend import FrontEnd
 from repro.core.jrs import JRSEstimator
 from repro.core.perceptron_estimator import PerceptronConfidenceEstimator
 from repro.core.reversal import (
@@ -111,24 +111,75 @@ class TestReversalAccounting:
         assert result.final_misprediction_rate == pytest.approx(0.5)
 
 
+def _events(trace, policy=None):
+    fe = FrontEnd(make_baseline_hybrid(), JRSEstimator(threshold=7), policy)
+    return [fe.process(r) for r in trace]
+
+
 class TestApplyPolicy:
+    """A policy reclassifies decisions; it leaves predictions and
+    signals as they are."""
+
     def test_reclassifies_decisions(self, simple_trace):
-        fe = FrontEnd(make_baseline_hybrid(), JRSEstimator(threshold=7))
-        events = [fe.process(r) for r in simple_trace]
-        gated = apply_policy(events, GatingOnlyPolicy())
+        events = _events(simple_trace)
+        gated = _events(simple_trace, GatingOnlyPolicy())
         assert len(gated) == len(events)
         n_gate = sum(1 for e in gated if e.decision.action is BranchAction.GATE)
         n_low = sum(1 for e in events if e.signal.low_confidence)
-        assert n_gate == n_low
+        assert n_gate == n_low > 0
 
     def test_baseline_strip(self, simple_trace):
-        fe = FrontEnd(
-            make_baseline_hybrid(), JRSEstimator(threshold=7), GatingOnlyPolicy()
-        )
-        events = [fe.process(r) for r in simple_trace]
-        stripped = apply_policy(events, NoSpeculationControl())
+        gated = _events(simple_trace, GatingOnlyPolicy())
+        stripped = _events(simple_trace, NoSpeculationControl())
         assert all(e.decision.action is BranchAction.NORMAL for e in stripped)
         # Predictions and signals are untouched.
-        for orig, new in zip(events, stripped):
+        for orig, new in zip(gated, stripped):
             assert orig.prediction == new.prediction
-            assert orig.signal is new.signal
+            assert orig.signal == new.signal
+
+
+class TestPolicyIndependence:
+    """Estimators train on the raw prediction, so the policy changes
+    only decisions: one job yields the same (pc, taken, prediction,
+    signal) stream under every policy."""
+
+    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    def test_streams_identical_across_policies(self, backend):
+        from repro.engine import (
+            GATING_POLICY,
+            NO_POLICY,
+            THREE_REGION_POLICY,
+            Engine,
+            EstimatorSpec,
+            SimJob,
+        )
+
+        job = SimJob(
+            benchmark="gzip",
+            n_branches=3_000,
+            warmup=500,
+            seed=1,
+            estimator=EstimatorSpec.of(
+                "perceptron", threshold=-25, strong_threshold=40
+            ),
+            backend=backend,
+        )
+        plain, gated, three = Engine().run(
+            [
+                job.with_(policy=NO_POLICY),
+                job.with_(policy=GATING_POLICY),
+                job.with_(policy=THREE_REGION_POLICY),
+            ]
+        )
+        assert {o.backend for o in (plain, gated, three)} == {backend}
+
+        def stream(outcome):
+            return [(e.pc, e.taken, e.prediction, e.signal) for e in outcome.events]
+
+        assert stream(gated) == stream(plain)
+        assert stream(three) == stream(plain)
+        # Only the decisions differ, each as its policy dictates.
+        assert all(e.decision.action is BranchAction.NORMAL for e in plain.events)
+        n_gate = sum(e.decision.action is BranchAction.GATE for e in gated.events)
+        assert n_gate == sum(e.signal.low_confidence for e in plain.events) > 0
+        assert any(e.decision.action is BranchAction.REVERSE for e in three.events)

@@ -11,13 +11,38 @@ from repro.core.estimator import AlwaysHighEstimator
 from repro.core.frontend import FrontEnd
 from repro.core.jrs import JRSEstimator
 from repro.core.perceptron_estimator import PerceptronConfidenceEstimator
-from repro.core.reversal import GatingOnlyPolicy, ThreeRegionPolicy
+from repro.engine import (
+    GATING_POLICY,
+    THREE_REGION_POLICY,
+    Engine,
+    EstimatorSpec,
+    SimJob,
+)
 from repro.pipeline.config import BASELINE_40X4, STANDARD_20X4, WIDE_20X8
-from repro.pipeline.runner import compare_policies, run_machine
 from repro.predictors.hybrid import make_baseline_hybrid
 
 
 WARM = 5_000
+
+#: The ``gzip_trace`` fixture's workload as an engine job (ungated).
+GZIP = SimJob(benchmark="gzip", n_branches=12_000, warmup=WARM, seed=7)
+PERCEPTRON_0 = EstimatorSpec.of("perceptron", threshold=0)
+JRS_7 = EstimatorSpec.of("jrs", threshold=7)
+
+
+@pytest.fixture(scope="module")
+def engine():
+    return Engine()
+
+
+def gating_deltas(engine, estimator, base_config, config):
+    """(U, P) of a gated gzip machine against its ungated baseline."""
+    base_out, out = engine.run(
+        [GZIP, GZIP.with_(estimator=estimator, policy=GATING_POLICY)]
+    )
+    base = engine.simulate(base_out.events, base_config)
+    stats = engine.simulate(out.events, config)
+    return stats.uop_reduction_vs(base), stats.performance_loss_vs(base)
 
 
 class TestPaperClaimShapes:
@@ -64,80 +89,51 @@ class TestPaperClaimShapes:
         shallow = PipelineSimulator(STANDARD_20X4).simulate(iter(events))
         assert deep.wrong_path_increase > 1.4 * shallow.wrong_path_increase
 
-    def test_gating_reduces_total_execution(self, gzip_trace):
+    def test_gating_reduces_total_execution(self, engine):
         """Table 4: perceptron gating cuts uops executed."""
-        run = compare_policies(
-            gzip_trace,
-            make_baseline_hybrid,
-            lambda: PerceptronConfidenceEstimator(threshold=0),
-            GatingOnlyPolicy(),
-            BASELINE_40X4.with_gating(1),
-            warmup=WARM,
+        u, _ = gating_deltas(
+            engine, PERCEPTRON_0, BASELINE_40X4, BASELINE_40X4.with_gating(1)
         )
-        assert run.uop_reduction_pct > 2.0
+        assert u > 2.0
 
-    def test_perceptron_gating_dominates_jrs_frontier(self, gzip_trace):
+    def test_perceptron_gating_dominates_jrs_frontier(self, engine):
         """Table 4: at comparable U, the perceptron loses far less
         performance than JRS at PL1."""
-        perc = compare_policies(
-            gzip_trace,
-            make_baseline_hybrid,
-            lambda: PerceptronConfidenceEstimator(threshold=0),
-            GatingOnlyPolicy(),
-            BASELINE_40X4.with_gating(1),
-            warmup=WARM,
+        _, perc_p = gating_deltas(
+            engine, PERCEPTRON_0, BASELINE_40X4, BASELINE_40X4.with_gating(1)
         )
-        jrs = compare_policies(
-            gzip_trace,
-            make_baseline_hybrid,
-            lambda: JRSEstimator(threshold=7),
-            GatingOnlyPolicy(),
-            BASELINE_40X4.with_gating(1),
-            warmup=WARM,
+        _, jrs_p = gating_deltas(
+            engine, JRS_7, BASELINE_40X4, BASELINE_40X4.with_gating(1)
         )
-        assert jrs.performance_loss_pct > 2 * perc.performance_loss_pct
+        assert jrs_p > 2 * perc_p
 
-    def test_higher_pl_softens_jrs(self, gzip_trace):
+    def test_higher_pl_softens_jrs(self, engine):
         """Table 4: raising the branch-counter threshold reduces both
         JRS's uop savings and its performance loss."""
-        pl1 = compare_policies(
-            gzip_trace,
-            make_baseline_hybrid,
-            lambda: JRSEstimator(threshold=7),
-            GatingOnlyPolicy(),
-            BASELINE_40X4.with_gating(1),
-            warmup=WARM,
+        pl1_u, pl1_p = gating_deltas(
+            engine, JRS_7, BASELINE_40X4, BASELINE_40X4.with_gating(1)
         )
-        pl3 = compare_policies(
-            gzip_trace,
-            make_baseline_hybrid,
-            lambda: JRSEstimator(threshold=7),
-            GatingOnlyPolicy(),
-            BASELINE_40X4.with_gating(3),
-            warmup=WARM,
+        pl3_u, pl3_p = gating_deltas(
+            engine, JRS_7, BASELINE_40X4, BASELINE_40X4.with_gating(3)
         )
-        assert pl3.uop_reduction_pct < pl1.uop_reduction_pct
-        assert pl3.performance_loss_pct < pl1.performance_loss_pct
+        assert pl3_u < pl1_u
+        assert pl3_p < pl1_p
 
-    def test_estimator_latency_minor(self, gzip_trace):
+    def test_estimator_latency_minor(self, engine):
         """Section 5.4.2: 9-cycle estimator latency costs little U."""
-        fast = compare_policies(
-            gzip_trace,
-            make_baseline_hybrid,
-            lambda: PerceptronConfidenceEstimator(threshold=0),
-            GatingOnlyPolicy(),
+        fast_u, _ = gating_deltas(
+            engine,
+            PERCEPTRON_0,
+            BASELINE_40X4,
             BASELINE_40X4.with_gating(1, estimator_latency=1),
-            warmup=WARM,
         )
-        slow = compare_policies(
-            gzip_trace,
-            make_baseline_hybrid,
-            lambda: PerceptronConfidenceEstimator(threshold=0),
-            GatingOnlyPolicy(),
+        slow_u, _ = gating_deltas(
+            engine,
+            PERCEPTRON_0,
+            BASELINE_40X4,
             BASELINE_40X4.with_gating(1, estimator_latency=9),
-            warmup=WARM,
         )
-        assert slow.uop_reduction_pct > 0.5 * fast.uop_reduction_pct
+        assert slow_u > 0.5 * fast_u
 
     def test_tnt_training_is_worse(self, gcc_trace):
         """Section 5.3: at matched coverage, cic accuracy beats tnt."""
@@ -160,29 +156,28 @@ class TestPaperClaimShapes:
         assert tnt_m is not None
         assert cic_m.pvn > tnt_m.pvn
 
-    def test_three_region_policy_executes_all_actions(self, gzip_trace):
+    def test_three_region_policy_executes_all_actions(self, engine):
         """Section 5.5 machinery: reversal and gating both engage."""
-        run = run_machine(
-            gzip_trace,
-            make_baseline_hybrid(),
-            PerceptronConfidenceEstimator(threshold=-90, strong_threshold=40),
-            ThreeRegionPolicy(),
-            BASELINE_40X4.with_gating(2),
-            warmup=WARM,
+        events, _ = engine.replay(
+            GZIP.with_(
+                estimator=EstimatorSpec.of(
+                    "perceptron", threshold=-90, strong_threshold=40
+                ),
+                policy=THREE_REGION_POLICY,
+            )
         )
-        assert run.stats.reversals > 0
-        assert run.stats.gated_branches > 0
+        stats = engine.simulate(events, BASELINE_40X4.with_gating(2))
+        assert stats.reversals > 0
+        assert stats.gated_branches > 0
 
-    def test_wide_machine_also_benefits(self, gzip_trace):
+    def test_wide_machine_also_benefits(self, engine):
         """Figure 9 premise: gating cuts execution on the 20c/8w machine
         too (reversal needs longer traces to train, so the short-trace
         check uses gating alone)."""
-        run = compare_policies(
-            gzip_trace,
-            make_baseline_hybrid,
-            lambda: PerceptronConfidenceEstimator(threshold=-25),
-            GatingOnlyPolicy(),
+        u, _ = gating_deltas(
+            engine,
+            EstimatorSpec.of("perceptron", threshold=-25),
+            WIDE_20X8,
             WIDE_20X8.with_gating(1),
-            warmup=WARM,
         )
-        assert run.uop_reduction_pct > 0
+        assert u > 0

@@ -1,102 +1,81 @@
-"""Unit tests for repro.pipeline.runner (machine comparisons)."""
+"""Single machine runs and baseline-vs-policy comparisons.
+
+A machine run is an engine replay (``Engine.run``) timed by
+``Engine.simulate``; a comparison takes U and P from
+:meth:`SimStats.uop_reduction_vs` / :meth:`SimStats.performance_loss_vs`
+against the ungated baseline, exactly as the experiments do.
+"""
 
 import pytest
 
-from repro.core.estimator import AlwaysHighEstimator
-from repro.core.jrs import JRSEstimator
-from repro.core.perceptron_estimator import PerceptronConfidenceEstimator
-from repro.core.reversal import GatingOnlyPolicy, NoSpeculationControl
+from repro.engine import (
+    ALWAYS_HIGH,
+    GATING_POLICY,
+    NO_POLICY,
+    Engine,
+    EstimatorSpec,
+    SimJob,
+)
 from repro.pipeline.config import BASELINE_40X4
-from repro.pipeline.runner import GatingRun, MachineRun, compare_policies, run_machine
-from repro.predictors.hybrid import make_baseline_hybrid
+
+BASE = SimJob(benchmark="gzip", n_branches=4_000, warmup=1_000, seed=3)
+
+
+@pytest.fixture(scope="module")
+def engine():
+    return Engine()
+
+
+def compare(engine, job, config):
+    """(baseline stats, policy stats) for ``job`` against ``BASE``."""
+    base_out, out = engine.run([BASE, job])
+    base = engine.simulate(base_out.events, BASELINE_40X4)
+    return base, engine.simulate(out.events, config)
 
 
 class TestRunMachine:
-    def test_baseline_run(self, simple_trace):
-        run = run_machine(
-            simple_trace,
-            make_baseline_hybrid(),
-            AlwaysHighEstimator(),
-            NoSpeculationControl(),
-            BASELINE_40X4,
-            warmup=1000,
-        )
-        assert run.stats.branches == len(simple_trace) - 1000
-        assert run.cycles > 0
-        assert run.total_uops_executed >= run.stats.correct_path_uops
+    def test_baseline_run(self, engine):
+        events, _ = engine.replay(BASE)
+        stats = engine.simulate(events, BASELINE_40X4)
+        assert stats.branches == BASE.n_branches - BASE.warmup
+        assert stats.total_cycles > 0
+        assert stats.total_uops_executed >= stats.correct_path_uops
 
-    def test_warmup_validation(self, simple_trace):
+    def test_warmup_validation(self):
         with pytest.raises(ValueError):
-            run_machine(
-                simple_trace,
-                make_baseline_hybrid(),
-                AlwaysHighEstimator(),
-                NoSpeculationControl(),
-                BASELINE_40X4,
-                warmup=-5,
-            )
+            BASE.with_(warmup=-5)
 
-    def test_frontend_metrics_populated(self, simple_trace):
-        run = run_machine(
-            simple_trace,
-            make_baseline_hybrid(),
-            JRSEstimator(threshold=7),
-            GatingOnlyPolicy(),
-            BASELINE_40X4,
-            warmup=1000,
+    def test_frontend_metrics_populated(self, engine):
+        events, frontend = engine.replay(
+            BASE.with_(
+                estimator=EstimatorSpec.of("jrs", threshold=7),
+                policy=GATING_POLICY,
+            )
         )
-        assert run.frontend.metrics.overall.total == run.stats.branches
+        stats = engine.simulate(events, BASELINE_40X4)
+        assert frontend.metrics.overall.total == stats.branches
 
 
 class TestComparePolicies:
-    def test_gating_reduces_uops(self, gzip_trace):
-        comparison = compare_policies(
-            gzip_trace,
-            make_baseline_hybrid,
-            lambda: PerceptronConfidenceEstimator(threshold=-25),
-            GatingOnlyPolicy(),
+    def test_gating_reduces_uops(self, engine):
+        base, gated = compare(
+            engine,
+            BASE.with_(
+                estimator=EstimatorSpec.of("perceptron", threshold=-25),
+                policy=GATING_POLICY,
+            ),
             BASELINE_40X4.with_gating(1),
-            warmup=4000,
         )
-        assert comparison.uop_reduction_pct > 0
+        assert gated.uop_reduction_vs(base) > 0
         # Gating never reduces *correct-path* work.
-        assert (
-            comparison.policy.stats.correct_path_uops
-            == comparison.baseline.stats.correct_path_uops
-        )
+        assert gated.correct_path_uops == base.correct_path_uops
 
-    def test_speedup_is_negative_loss(self, simple_trace):
-        comparison = compare_policies(
-            simple_trace,
-            make_baseline_hybrid,
-            lambda: JRSEstimator(threshold=7),
-            GatingOnlyPolicy(),
-            BASELINE_40X4,
-            warmup=1000,
+    def test_null_policy_matches_baseline(self, engine):
+        # Gating hardware enabled, but nothing is ever low confidence.
+        base, null = compare(
+            engine,
+            BASE.with_(estimator=ALWAYS_HIGH, policy=NO_POLICY),
+            BASELINE_40X4.with_gating(1),
         )
-        assert comparison.speedup_pct == pytest.approx(
-            -comparison.performance_loss_pct
-        )
-
-    def test_null_policy_matches_baseline(self, simple_trace):
-        comparison = compare_policies(
-            simple_trace,
-            make_baseline_hybrid,
-            AlwaysHighEstimator,
-            NoSpeculationControl(),
-            BASELINE_40X4,
-            warmup=1000,
-        )
-        assert comparison.uop_reduction_pct == pytest.approx(0.0, abs=1e-9)
-        assert comparison.performance_loss_pct == pytest.approx(0.0, abs=1e-9)
-
-    def test_summary_keys(self, simple_trace):
-        comparison = compare_policies(
-            simple_trace,
-            make_baseline_hybrid,
-            AlwaysHighEstimator,
-            NoSpeculationControl(),
-            BASELINE_40X4,
-        )
-        summary = comparison.summary()
-        assert set(summary) >= {"U_pct", "P_pct", "baseline_cycles"}
+        assert null.uop_reduction_vs(base) == pytest.approx(0.0, abs=1e-9)
+        assert null.performance_loss_vs(base) == pytest.approx(0.0, abs=1e-9)

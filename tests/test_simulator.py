@@ -7,6 +7,7 @@ from repro.core.reversal import BranchAction, PolicyDecision
 from repro.core.types import ConfidenceSignal
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.simulator import PipelineSimulator
+from repro.pipeline.stats import SimStats
 
 
 def event(pc=0x40, taken=True, prediction=True, action=BranchAction.NORMAL,
@@ -232,6 +233,23 @@ class TestStats:
         d = stats.as_dict()
         for key in ("branches", "total_uops_executed", "total_cycles"):
             assert key in d
+
+    def test_up_definition(self):
+        """U and P, the paper's two deltas, against a baseline run."""
+        base = SimStats(
+            correct_path_uops=900, wrong_path_uops=100, total_cycles=400.0
+        )
+        assert base.uop_reduction_vs(base) == 0.0
+        assert base.performance_loss_vs(base) == 0.0
+        gated = SimStats(
+            correct_path_uops=900, wrong_path_uops=50, total_cycles=410.0
+        )
+        # U = 100 * (1000 - 950) / 1000; P = 100 * (410 - 400) / 400.
+        assert gated.uop_reduction_vs(base) == 5.0
+        assert gated.performance_loss_vs(base) == 2.5
+        # A policy that adds work and saves time: negative U, negative P.
+        assert base.uop_reduction_vs(gated) == pytest.approx(-100 * 50 / 950)
+        assert base.performance_loss_vs(gated) == pytest.approx(-100 * 10 / 410)
 
 
 class TestThrottleMode:
