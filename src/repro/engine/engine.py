@@ -323,10 +323,18 @@ class Engine:
 
     @staticmethod
     def simulate(events, config):
-        """Run the pipeline timing model over a prepared event stream."""
+        """Run the pipeline timing model over a prepared event stream.
+
+        Spanned as ``pipeline.simulate``, noting the event count and the
+        loop that ran it (``path``: ``kernel`` or ``python``).
+        """
         from repro.pipeline.simulator import PipelineSimulator
 
-        return PipelineSimulator(config).simulate(iter(events))
+        simulator = PipelineSimulator(config)
+        with telemetry.trace_span("pipeline.simulate") as span:
+            stats = simulator.simulate(events)
+            span.note(events=stats.branches, path=simulator.path)
+        return stats
 
 
 #: The process-wide default engine (lazily created).

@@ -11,7 +11,10 @@ produces them:
   configurations as presets;
 - :class:`~repro.pipeline.simulator.PipelineSimulator` -- a
   branch-granularity cycle model with explicit wrong-path fetch
-  accounting, pipeline gating stalls and reversal recovery;
+  accounting, pipeline gating stalls and reversal recovery; its
+  per-event loop runs as a bit-identical C kernel
+  (:mod:`~repro.pipeline.kernel`, ``timing_kernel.c``) when one can be
+  built, and in Python otherwise;
 - :class:`~repro.pipeline.stats.SimStats` -- the counters of one run,
   and the one definition of U and P
   (:meth:`~repro.pipeline.stats.SimStats.uop_reduction_vs`,

@@ -42,6 +42,11 @@ Mechanisms modelled explicitly:
 Determinism: resolution jitter is a hash of (pc, sequence number), so a
 given (trace, config, policy) triple always produces identical
 statistics.
+
+The methods below are the model's definition.  ``simulate`` runs them
+as a line-for-line C port (``timing_kernel.c``, loaded by
+:mod:`repro.pipeline.kernel`) with bit-identical results, and runs them
+in Python whenever the kernel cannot run.
 """
 
 from __future__ import annotations
@@ -79,6 +84,7 @@ class PipelineSimulator:
 
     def __init__(self, config: PipelineConfig):
         self.config = config
+        self.path: Optional[str] = None  # loop of the last simulate call
         self._reset()
 
     def _reset(self) -> None:
@@ -328,11 +334,15 @@ class PipelineSimulator:
     ) -> SimStats:
         """Replay a front-end event stream; returns accumulated stats.
 
-        Internal time state is reset at the start of every call.
+        Internal time state is reset at the start of every call.  The
+        stream runs on the compiled kernel (:mod:`repro.pipeline.kernel`),
+        which is bit-identical to the Python model below; when the kernel
+        cannot run, the Python model does and the fallback is counted.
+        ``self.path`` records which one ran (``"kernel"``/``"python"``).
         """
-        self._reset()
         result = stats if stats is not None else SimStats()
         from repro import telemetry
+        from repro.pipeline import kernel
 
         tel = telemetry.get_registry()
         if tel.enabled:
@@ -342,9 +352,17 @@ class PipelineSimulator:
             base_stalls = result.gating_stalls
             base_correcting = result.reversals_correcting
             base_breaking = result.reversals_breaking
-        for event in events:
-            self._process(event, result)
-        result.total_cycles = self._retire_time
+        if not isinstance(events, (list, tuple)):
+            events = list(events)
+        reason = kernel.simulate(self.config, events, result)
+        if reason is None:
+            self.path = "kernel"
+        else:
+            if tel.enabled:
+                tel.counter(
+                    "pipeline_kernel_fallbacks_total", reason=reason
+                ).inc()
+            self._run(events, result)
         if tel.enabled:
             buckets = telemetry.COUNT_BUCKETS
             tel.counter("pipeline_simulations_total").inc()
@@ -364,3 +382,20 @@ class PipelineSimulator:
                 "pipeline_reversals_total", kind="breaking"
             ).inc(result.reversals_breaking - base_breaking)
         return result
+
+    def simulate_reference(
+        self,
+        events: Iterable[FrontEndEvent],
+        stats: Optional[SimStats] = None,
+    ) -> SimStats:
+        """The Python model alone, recording no telemetry: the kernel's oracle."""
+        result = stats if stats is not None else SimStats()
+        self._run(events, result)
+        return result
+
+    def _run(self, events: Iterable[FrontEndEvent], result: SimStats) -> None:
+        self._reset()
+        self.path = "python"
+        for event in events:
+            self._process(event, result)
+        result.total_cycles = self._retire_time

@@ -3,7 +3,9 @@
 Exit status 0 means every requested layer passed; 1 means at least one
 differential replay diverged, an invariant broke, or the golden gate
 found drift.  ``--refresh --reason '<why>'`` rewrites the golden
-baseline instead of checking it.
+baselines instead of checking them.  The timing gate runs with the
+golden gate and prints which timing path (compiled kernel or Python
+model) its simulations took.
 """
 
 from __future__ import annotations
@@ -173,6 +175,44 @@ def _run_golden_layer(engine, profile, refresh, reason, stream, backend) -> List
     return [f"golden: {line}" for line in report.format().splitlines()[1:]]
 
 
+def _run_timing_layer(engine, refresh, reason, stream, backend) -> List[str]:
+    from dataclasses import replace
+
+    from repro.pipeline import kernel
+    from repro.verify.timing import (
+        TIMING_CONFIGS,
+        TIMING_GOLDEN,
+        TIMING_POLICIES,
+        compute_timing_entries,
+    )
+
+    profile = PROFILES["quick"]
+    print(
+        f"== timing gate [{TIMING_GOLDEN}, backend={backend}]: "
+        f"{len(TIMING_POLICIES)} policies x {len(TIMING_CONFIGS)} machines x "
+        f"{len(profile.benchmarks)} benchmarks ==",
+        file=stream,
+    )
+    entries, paths = compute_timing_entries(
+        profile, engine, backend=backend, reference=refresh
+    )
+    ran = ", ".join(f"{path} x{count}" for path, count in sorted(paths.items()))
+    unavailable = kernel.unavailable_reason()
+    note = f" (kernel unavailable: {unavailable})" if unavailable else ""
+    print(f"timing path: {ran}{note}", file=stream)
+    if refresh:
+        path = write_baseline(
+            replace(profile, name=TIMING_GOLDEN), entries, reason
+        )
+        print(f"refreshed {path} ({len(entries)} entries): {reason}", file=stream)
+        return []
+    report = compare(load_baseline(TIMING_GOLDEN), entries, TIMING_GOLDEN)
+    print(report.format(), file=stream)
+    if report.ok:
+        return []
+    return [f"timing: {line}" for line in report.format().splitlines()[1:]]
+
+
 def run_verification(
     profile_name: str,
     differential: bool = True,
@@ -243,6 +283,9 @@ def run_verification(
         if golden:
             yield "golden", lambda: _run_golden_layer(
                 engine, profile, refresh, reason, stream, backend
+            )
+            yield "timing", lambda: _run_timing_layer(
+                engine, refresh, reason, stream, backend
             )
 
     tel = telemetry.get_registry()

@@ -92,7 +92,7 @@ class GateReport:
             lines.append(
                 f"  {label}: metric {metric!r} drifted: "
                 f"expected {expected}, got {actual} "
-                f"(delta {actual - expected:+d})"
+                f"(delta {actual - expected:+})"
             )
         for label in self.missing:
             lines.append(f"  {label}: in baseline but not in the matrix")

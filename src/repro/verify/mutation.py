@@ -2,9 +2,10 @@
 
 A regression gate that never fires is indistinguishable from one that
 works.  Each named mutation perturbs one algorithmic constant in the
-production code (in process, reversibly) so the verification layers can
-be run against a deliberately-wrong build; CI asserts the golden gate
-reports a drift naming the affected configuration.
+production code, or the input of one layer (in process, reversibly), so
+the verification layers can be run against a deliberately-wrong build;
+CI asserts the gate named in :data:`MUTATION_GATES` reports a drift
+naming the affected configuration.
 
 Mutations monkey-patch live objects, so the mutated run must execute
 in-process (``--jobs 1``): worker processes re-import the pristine
@@ -16,7 +17,7 @@ from __future__ import annotations
 import contextlib
 from typing import Dict, Iterator
 
-__all__ = ["MUTATIONS", "apply_mutation"]
+__all__ = ["MUTATIONS", "MUTATION_GATES", "apply_mutation"]
 
 
 @contextlib.contextmanager
@@ -94,10 +95,49 @@ def _mutate_tage_useful() -> Iterator[None]:
         TagePredictor.train = original
 
 
+@contextlib.contextmanager
+def _mutate_timing_events() -> Iterator[None]:
+    """Add one uop before every 64th branch the timing model sees.
+
+    Perturbs the event stream at the timing model's entry, not the
+    model's code, so the compiled kernel and the Python fallback see the
+    same wrong input: the timing gate must drift on either path, while
+    the replay golden (which never times anything) stays clean.
+    """
+    from dataclasses import replace
+
+    from repro.pipeline.simulator import PipelineSimulator
+
+    original = PipelineSimulator.simulate
+
+    def perturbed(self, events, stats=None):
+        events = [
+            replace(e, uops_before=e.uops_before + 1) if i % 64 == 0 else e
+            for i, e in enumerate(events)
+        ]
+        return original(self, events, stats)
+
+    PipelineSimulator.simulate = perturbed
+    try:
+        yield
+    finally:
+        PipelineSimulator.simulate = original
+
+
 MUTATIONS: Dict[str, contextlib.AbstractContextManager] = {
     "perceptron-update": _mutate_perceptron_update,
     "jrs-reset": _mutate_jrs_reset,
     "tage-useful": _mutate_tage_useful,
+    "timing-events": _mutate_timing_events,
+}
+
+#: The verify layer each mutation must trip: ``golden`` (replay metrics)
+#: or ``timing`` (SimStats).
+MUTATION_GATES: Dict[str, str] = {
+    "perceptron-update": "golden",
+    "jrs-reset": "golden",
+    "tage-useful": "golden",
+    "timing-events": "timing",
 }
 
 

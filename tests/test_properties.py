@@ -144,10 +144,12 @@ class TestMetricsProperties:
         assert m.flagged_low + m.flagged_high == m.total
         assert 0.0 <= m.spec <= 1.0
         assert 0.0 <= m.pvn <= 1.0
-        # True positives counted consistently from both directions.
-        assert m.spec * m.mispredicted == m.pvn * m.flagged_low or (
-            m.mispredicted == 0 or m.flagged_low == 0
-        )
+        # True positives counted consistently from both directions. Both
+        # products are an integer count computed through a float ratio
+        # (13/23 * 23 == 12.999999999999998), so compare them as counts.
+        if m.mispredicted and m.flagged_low:
+            assert round(m.spec * m.mispredicted) == m.low_mispredicted
+            assert round(m.pvn * m.flagged_low) == m.low_mispredicted
 
 
 class TestTraceProperties:

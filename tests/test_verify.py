@@ -35,7 +35,13 @@ from repro.verify.matrix import (
     specs_for_predictor_kind,
 )
 from repro.verify.metamorphic import run_invariants
-from repro.verify.mutation import MUTATIONS, apply_mutation
+from repro.verify.mutation import MUTATION_GATES, MUTATIONS, apply_mutation
+from repro.verify.timing import (
+    TIMING_CONFIGS,
+    TIMING_GOLDEN,
+    TIMING_POLICIES,
+    compute_timing_entries,
+)
 
 DIFF_TRACE = generate_benchmark_trace("gzip", n_branches=1_200, seed=11)
 
@@ -255,14 +261,59 @@ class TestMutationHarness:
         assert any("perceptron" in label for label in drifted_labels)
 
     def test_every_registered_mutation_is_caught(self, engine, tmp_path):
-        path = str(tmp_path / "tiny.json")
-        write_baseline(TINY, compute_entries(TINY, engine), "clean", path=path)
-        baseline = load_baseline("tiny", path=path)
+        gates = {
+            "golden": lambda e: compute_entries(TINY, e),
+            "timing": lambda e: compute_timing_entries(TINY, e)[0],
+        }
+        assert set(MUTATION_GATES) == set(MUTATIONS)
         for name in MUTATIONS:
+            compute = gates[MUTATION_GATES[name]]
+            path = str(tmp_path / f"{name}.json")
+            write_baseline(TINY, compute(engine), "clean", path=path)
+            baseline = load_baseline("tiny", path=path)
             with apply_mutation(name):
-                mutated = compute_entries(TINY, Engine(max_workers=1))
+                mutated = compute(Engine(max_workers=1))
             report = compare(baseline, mutated, "tiny")
             assert not report.ok, f"mutation {name!r} slipped through the gate"
+
+
+class TestTimingGate:
+    def test_checked_in_baseline_matches_matrix(self):
+        baseline = load_baseline(TIMING_GOLDEN)
+        entries, _ = compute_timing_entries(PROFILES["quick"], Engine(max_workers=1))
+        assert {e.label for e in entries} == set(baseline["entries"])
+        report = compare(baseline, entries, TIMING_GOLDEN)
+        assert report.ok, report.format()
+        assert report.checked == (
+            len(TIMING_POLICIES) * len(TIMING_CONFIGS)
+            * len(PROFILES["quick"].benchmarks)
+        )
+
+    def test_kernel_and_python_model_agree(self, engine):
+        kernel_run, _ = compute_timing_entries(TINY, engine)
+        python_run, paths = compute_timing_entries(TINY, engine, reference=True)
+        assert paths == {"python": len(python_run)}
+        assert kernel_run == python_run
+
+    @pytest.mark.parametrize("path", ["kernel", "python"])
+    def test_event_mutation_bites_on_both_paths(self, engine, tmp_path,
+                                                monkeypatch, path):
+        from repro.pipeline import kernel
+
+        entries, _ = compute_timing_entries(TINY, engine)
+        baseline_path = str(tmp_path / "timing.json")
+        write_baseline(TINY, entries, "clean", path=baseline_path)
+        if path == "python":
+            monkeypatch.setattr(kernel, "_kernel", "test")
+        elif kernel.unavailable_reason() is not None:
+            pytest.skip(f"kernel unavailable: {kernel.unavailable_reason()}")
+        with apply_mutation("timing-events"):
+            mutated, paths = compute_timing_entries(TINY, engine)
+        assert paths == {path: len(mutated)}
+        report = compare(load_baseline("tiny", path=baseline_path), mutated, "tiny")
+        assert not report.ok
+        assert "drifted" in report.format()
+        assert "correct_path_uops" in report.format()
 
 
 class TestInvariants:
