@@ -183,6 +183,7 @@ def _run_timing_layer(engine, refresh, reason, stream, backend) -> List[str]:
         TIMING_CONFIGS,
         TIMING_GOLDEN,
         TIMING_POLICIES,
+        TIMING_SMT,
         compute_timing_entries,
     )
 
@@ -190,7 +191,8 @@ def _run_timing_layer(engine, refresh, reason, stream, backend) -> List[str]:
     print(
         f"== timing gate [{TIMING_GOLDEN}, backend={backend}]: "
         f"{len(TIMING_POLICIES)} policies x {len(TIMING_CONFIGS)} machines x "
-        f"{len(profile.benchmarks)} benchmarks ==",
+        f"{len(profile.benchmarks)} benchmarks + {len(TIMING_SMT)} SMT x "
+        f"{len(profile.benchmarks) - 1} pairs ==",
         file=stream,
     )
     entries, paths = compute_timing_entries(

@@ -97,31 +97,42 @@ def _mutate_tage_useful() -> Iterator[None]:
 
 @contextlib.contextmanager
 def _mutate_timing_events() -> Iterator[None]:
-    """Add one uop before every 64th branch the timing model sees.
+    """Add one uop before every 64th branch the timing models see.
 
-    Perturbs the event stream at the timing model's entry, not the
-    model's code, so the compiled kernel and the Python fallback see the
-    same wrong input: the timing gate must drift on either path, while
-    the replay golden (which never times anything) stays clean.
+    Perturbs the event streams at the entries of both timing models
+    (``PipelineSimulator`` and ``SmtSimulator``), not the models' code,
+    so the compiled kernel and the Python fallback see the same wrong
+    input: the timing gate must drift on either path, while the replay
+    golden (which never times anything) stays clean.
     """
     from dataclasses import replace
 
     from repro.pipeline.simulator import PipelineSimulator
+    from repro.pipeline.smt import SmtSimulator
 
-    original = PipelineSimulator.simulate
-
-    def perturbed(self, events, stats=None):
-        events = [
+    def perturb(events):
+        return [
             replace(e, uops_before=e.uops_before + 1) if i % 64 == 0 else e
             for i, e in enumerate(events)
         ]
-        return original(self, events, stats)
+
+    simulate, smt_simulate = PipelineSimulator.simulate, SmtSimulator.simulate
+
+    def perturbed(self, events, stats=None):
+        return simulate(self, perturb(events), stats)
+
+    def smt_perturbed(self, events_a, events_b=None, max_cycles=None):
+        if events_b is not None:
+            events_b = perturb(events_b)
+        return smt_simulate(self, perturb(events_a), events_b, max_cycles)
 
     PipelineSimulator.simulate = perturbed
+    SmtSimulator.simulate = smt_perturbed
     try:
         yield
     finally:
-        PipelineSimulator.simulate = original
+        PipelineSimulator.simulate = simulate
+        SmtSimulator.simulate = smt_simulate
 
 
 MUTATIONS: Dict[str, contextlib.AbstractContextManager] = {

@@ -10,7 +10,11 @@ set of machines, then diffs every ``SimStats`` field against
 - policies: ungated (null), perceptron gating (lambda=0), 3-region
   reversal, and a perfect-confidence oracle;
 - machines: the three Table 1/2 pipelines at PL1, plus the 40-cycle
-  machine at PL2, PL3, estimator latency 9 and in throttle mode.
+  machine at PL2, PL3, estimator latency 9 and in throttle mode;
+- SMT: each adjacent benchmark pair co-run on the two-thread
+  :class:`~repro.pipeline.smt.SmtSimulator` (40-cycle machine, PL1)
+  from the perceptron-gating streams, with and without the gated
+  thread yielding its fetch slots.
 
 Simulations take whichever path ``PipelineSimulator.simulate`` takes
 (the compiled kernel, or the Python model when the kernel cannot run),
@@ -43,10 +47,17 @@ from repro.pipeline.config import (
     PipelineConfig,
 )
 from repro.pipeline.simulator import PipelineSimulator
+from repro.pipeline.smt import SmtSimulator
 from repro.verify.golden import GoldenEntry
 from repro.verify.matrix import VerifyProfile
 
-__all__ = ["TIMING_GOLDEN", "TIMING_CONFIGS", "TIMING_POLICIES", "compute_timing_entries"]
+__all__ = [
+    "TIMING_GOLDEN",
+    "TIMING_CONFIGS",
+    "TIMING_POLICIES",
+    "TIMING_SMT",
+    "compute_timing_entries",
+]
 
 #: Baseline name: ``golden/timing_quick.json``.
 TIMING_GOLDEN = "timing_quick"
@@ -73,6 +84,32 @@ _REPLAYED = (
     ),
 )
 TIMING_POLICIES = tuple(label for label, _, _ in _REPLAYED) + ("oracle",)
+
+#: SMT cases: (label, gate_yields), timed on ``_SMT_CONFIG`` over the
+#: ``"gate"`` streams of each adjacent benchmark pair.
+TIMING_SMT: Tuple[Tuple[str, bool], ...] = (("smt-base", False), ("smt-yield", True))
+_SMT_CONFIG = BASELINE_40X4.with_gating(1)
+
+
+def _entry(label: str, identity: str, metrics: dict) -> GoldenEntry:
+    return GoldenEntry(
+        label=label,
+        fingerprint=hashlib.sha256(identity.encode("utf-8")).hexdigest(),
+        digest=metrics_digest(metrics),
+        metrics=metrics,
+    )
+
+
+def _smt_metrics(stats) -> dict:
+    """Flat ``SmtStats``: machine totals plus ``t<i>.<field>`` per thread."""
+    metrics = {
+        "idle_fetch_cycles": stats.idle_fetch_cycles,
+        "total_cycles": stats.total_cycles,
+    }
+    for i, thread in enumerate(stats.threads):
+        for name, value in asdict(thread).items():
+            metrics[f"t{i}.{name}"] = value
+    return metrics
 
 
 def compute_timing_entries(
@@ -114,14 +151,26 @@ def compute_timing_entries(
                 else:
                     stats = simulator.simulate(events)
                 paths[simulator.path] += 1
-                metrics = asdict(stats)
-                identity = f"{source}|{config!r}".encode("utf-8")
                 entries.append(
-                    GoldenEntry(
-                        label=f"{policy}/{name}/{benchmark}",
-                        fingerprint=hashlib.sha256(identity).hexdigest(),
-                        digest=metrics_digest(metrics),
-                        metrics=metrics,
+                    _entry(
+                        f"{policy}/{name}/{benchmark}",
+                        f"{source}|{config!r}",
+                        asdict(stats),
                     )
                 )
+    for a, b in zip(profile.benchmarks, profile.benchmarks[1:]):
+        (source_a, events_a), (source_b, events_b) = (
+            streams["gate", a], streams["gate", b]
+        )
+        for label, gate_yields in TIMING_SMT:
+            stats = SmtSimulator(_SMT_CONFIG, gate_yields=gate_yields).simulate(
+                events_a, events_b
+            )
+            entries.append(
+                _entry(
+                    f"{label}/40c4w/{a}+{b}",
+                    f"{source_a}+{source_b}|smt|{gate_yields}|{_SMT_CONFIG!r}",
+                    _smt_metrics(stats),
+                )
+            )
     return entries, dict(paths)

@@ -40,6 +40,7 @@ from repro.verify.timing import (
     TIMING_CONFIGS,
     TIMING_GOLDEN,
     TIMING_POLICIES,
+    TIMING_SMT,
     compute_timing_entries,
 )
 
@@ -284,9 +285,10 @@ class TestTimingGate:
         assert {e.label for e in entries} == set(baseline["entries"])
         report = compare(baseline, entries, TIMING_GOLDEN)
         assert report.ok, report.format()
+        benchmarks = len(PROFILES["quick"].benchmarks)
         assert report.checked == (
-            len(TIMING_POLICIES) * len(TIMING_CONFIGS)
-            * len(PROFILES["quick"].benchmarks)
+            len(TIMING_POLICIES) * len(TIMING_CONFIGS) * benchmarks
+            + len(TIMING_SMT) * (benchmarks - 1)
         )
 
     def test_kernel_and_python_model_agree(self, engine):
@@ -314,6 +316,31 @@ class TestTimingGate:
         assert not report.ok
         assert "drifted" in report.format()
         assert "correct_path_uops" in report.format()
+
+    def test_event_mutation_bites_on_smt_entries(self, engine, tmp_path):
+        pair = VerifyProfile(
+            name="tiny-pair",
+            n_branches=2_000,
+            warmup=500,
+            benchmarks=("gzip", "mcf"),
+            differential_branches=600,
+        )
+        entries, _ = compute_timing_entries(pair, engine)
+        smt = [e for e in entries if e.label.startswith("smt-")]
+        assert sorted(e.label for e in smt) == [
+            f"{label}/40c4w/gzip+mcf" for label, _ in sorted(TIMING_SMT)
+        ]
+        baseline_path = str(tmp_path / "smt.json")
+        write_baseline(pair, smt, "clean", path=baseline_path)
+        with apply_mutation("timing-events"):
+            mutated, _ = compute_timing_entries(pair, engine)
+        report = compare(
+            load_baseline("tiny-pair", path=baseline_path),
+            [e for e in mutated if e.label.startswith("smt-")],
+            "tiny-pair",
+        )
+        assert {label for label, _, _, _ in report.drifts} == {e.label for e in smt}
+        assert "t0.correct_uops" in report.format()
 
 
 class TestInvariants:
