@@ -19,11 +19,14 @@ paper plus the machinery that consumes their output:
 - :mod:`~repro.core.metrics` -- Spec/PVN and friends (Section 2.2).
 - :class:`~repro.core.frontend.FrontEnd` -- couples a predictor, an
   estimator and a policy over a trace.
+- :class:`~repro.core.events.EventColumns` -- the columnar event
+  stream every layer hands around (``FrontEndEvent`` is its lazy view).
 """
 
 from repro.core.agreement import ComponentAgreementEstimator
 from repro.core.combined_estimator import AgreementEstimator, CascadeEstimator
 from repro.core.estimator import AlwaysHighEstimator, ConfidenceEstimator
+from repro.core.events import EventColumns
 from repro.core.frontend import FrontEnd, FrontEndEvent, FrontEndResult
 from repro.core.gating import GatingConfig, LowConfidenceCounter
 from repro.core.jrs import JRSEstimator
@@ -49,6 +52,7 @@ __all__ = [
     "CascadeEstimator",
     "ComponentAgreementEstimator",
     "ConfidenceEstimator",
+    "EventColumns",
     "oracle_events",
     "FrontEnd",
     "FrontEndEvent",

@@ -4,7 +4,9 @@ The experiment stack describes work as :class:`SimJob` values -- frozen,
 hashable, content-addressable descriptions of one front-end replay --
 and hands them to an :class:`Engine`, which deduplicates them through a
 fingerprint-keyed replay cache (in-memory LRU plus optional on-disk
+entries: digest-checked raw event columns under a JSON header, never
 pickles) and executes the remainder serially or across a process pool.
+Outcomes carry their events as :class:`~repro.core.events.EventColumns`.
 See ``docs/engine.md`` for the full design.
 """
 

@@ -62,6 +62,7 @@ def _replay_trace_impl(job: SimJob, trace) -> ReplayOutcome:
     falls back to the reference loop below, which is the semantic
     definition both backends must match.
     """
+    from repro.core.events import EventColumns
     from repro.core.frontend import FrontEnd, FrontEndResult
 
     tel = telemetry.get_registry()
@@ -106,6 +107,7 @@ def _replay_trace_impl(job: SimJob, trace) -> ReplayOutcome:
             continue
         frontend.aggregate(result, event)
         events.append(event)
+    events = EventColumns.from_events(events)
     if tel.enabled:
         tel.counter("engine_replays_total", backend="reference").inc()
         tel.histogram("engine_replay_seconds", backend="reference").observe(
@@ -325,8 +327,12 @@ class Engine:
     def simulate(events, config):
         """Run the pipeline timing model over a prepared event stream.
 
-        Spanned as ``pipeline.simulate``, noting the event count and the
-        loop that ran it (``path``: ``kernel`` or ``python``).
+        ``events`` is an outcome's :class:`~repro.core.events.EventColumns`
+        (pass ``outcome.events`` as it is: the kernel reads its buffers in
+        place) or any sequence of ``FrontEndEvent``, converted to columns
+        once on the way into the kernel.  Spanned as ``pipeline.simulate``,
+        noting the event count and the loop that ran it (``path``:
+        ``kernel`` or ``python``).
         """
         from repro.pipeline.simulator import PipelineSimulator
 

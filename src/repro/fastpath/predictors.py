@@ -1,8 +1,8 @@
 """Whole-trace predictor passes for the fast backend.
 
 Each pass replays one registered predictor kind over a full columnar
-trace and returns the per-branch predictions plus the final
-``state_canonical()`` tuple, bit-identical to the reference
+trace and returns the per-branch predictions plus a thunk building the
+final ``state_canonical()`` tuple, bit-identical to the reference
 implementation in :mod:`repro.predictors`.  Table indices are
 precomputed with the vectorized kernels; the dense counter-table
 read-modify-write loops stay scalar over Python lists (measured faster
@@ -17,7 +17,7 @@ policy, so the driver caches them per ``(trace, predictor canonical)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Callable, List
 
 import numpy as np
 
@@ -64,10 +64,12 @@ class PredictorPass:
     correct: List[bool]  # per-branch (prediction == taken)
     pred_arr: np.ndarray  # bool array view of ``pred``
     correct_arr: np.ndarray  # bool array view of ``correct``
-    state: tuple  # final state_canonical() tuple
+    state: Callable[[], tuple]  # builds the final state_canonical() tuple
 
 
-def _finish(col: ColumnarTrace, pred: List[bool], state: tuple) -> PredictorPass:
+def _finish(
+    col: ColumnarTrace, pred: List[bool], state: Callable[[], tuple]
+) -> PredictorPass:
     pred_arr = np.asarray(pred, dtype=bool)
     correct_arr = pred_arr == col.takens.astype(bool)
     return PredictorPass(
@@ -130,14 +132,16 @@ def _run_baseline_hybrid(col: ColumnarTrace, params: dict) -> PredictorPass:
             if vg > 0:
                 gsh[g] = vg - 1
 
-    final_bits = col.final_history(max(history_length, 1))
-    state = (
-        "combined",
-        ("bimodal", tuple(bim)),
-        ("gshare", history_length, tuple(gsh), final_bits),
-        tuple(meta),
-        final_bits,
-    )
+    def state():
+        final_bits = col.final_history(max(history_length, 1))
+        return (
+            "combined",
+            ("bimodal", tuple(bim)),
+            ("gshare", history_length, tuple(gsh), final_bits),
+            tuple(meta),
+            final_bits,
+        )
+
     return _finish(col, pred, state)
 
 
@@ -195,19 +199,20 @@ def _run_gshare_perceptron_hybrid(
         elif vg > 0:
             gsh[g] = vg - 1
 
-    shared_length = max(gshare_history, perc_history)
-    final_bits = col.final_history(shared_length)
-    state = (
-        "combined",
-        ("gshare", gshare_history, tuple(gsh), final_bits),
-        (
-            "perceptron_predictor",
-            tuple(tuple(int(w) for w in row) for row in weights),
+    def state():
+        final_bits = col.final_history(max(gshare_history, perc_history))
+        return (
+            "combined",
+            ("gshare", gshare_history, tuple(gsh), final_bits),
+            (
+                "perceptron_predictor",
+                tuple(tuple(int(w) for w in row) for row in weights),
+                final_bits,
+            ),
+            tuple(meta),
             final_bits,
-        ),
-        tuple(meta),
-        final_bits,
-    )
+        )
+
     return _finish(col, pred, state)
 
 
@@ -318,18 +323,19 @@ def _run_tage(col: ColumnarTrace, params: dict) -> PredictorPass:
                     if val:
                         ut[s] = val >> 1
 
-    final_bits = col.final_history(lengths[-1])
-    state = (
-        "tage",
-        lengths,
-        tuple(base),
-        tuple(
-            (tuple(ctr[t]), tuple(tags[t]), tuple(useful[t]))
-            for t in range(n_tables)
-        ),
-        final_bits,
-        retired,
-    )
+    def state():
+        return (
+            "tage",
+            lengths,
+            tuple(base),
+            tuple(
+                (tuple(ctr[t]), tuple(tags[t]), tuple(useful[t]))
+                for t in range(n_tables)
+            ),
+            col.final_history(lengths[-1]),
+            retired,
+        )
+
     return _finish(col, pred, state)
 
 

@@ -38,9 +38,7 @@ import subprocess
 import sysconfig
 import tempfile
 from array import array
-from itertools import repeat
-from operator import attrgetter, is_
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 __all__ = ["FLAGS", "cache_dir", "library_path", "simulate", "unavailable_reason"]
 
@@ -235,38 +233,36 @@ def _config(config) -> _Config:
     )
 
 
-def _columns(events: Sequence) -> tuple:
-    """The kernel's seven event columns; raises on values outside C types."""
-    from repro.core.frontend import FrontEndEvent
-    from repro.core.reversal import BranchAction, PolicyDecision
+def _columns(events) -> tuple:
+    """The kernel's seven event columns; raises on values outside C types.
 
-    decisions = list(map(attrgetter("decision"), events))
-    # The flags below read the fields the FrontEndEvent / PolicyDecision
-    # properties are defined over; subclasses might redefine them.
-    if not {*map(type, events)} <= {FrontEndEvent} or not {
-        *map(type, decisions)
-    } <= {PolicyDecision}:
-        raise TypeError("events are not plain FrontEndEvent objects")
-    pcs = list(map(attrgetter("pc"), events))
-    try:
-        pc = array("Q", pcs)
-    except OverflowError:
+    An :class:`~repro.core.events.EventColumns` hands over its buffers
+    as they are; a sequence of event objects is converted first.
+    """
+    from repro.core.events import EventColumns
+    from repro.core.reversal import BranchAction
+
+    if not isinstance(events, EventColumns):
+        events = EventColumns.from_events(events)
+    pc = events.pc
+    if not isinstance(pc, array):
         # mix_hash masks to 64 bits, so only pc mod 2**64 matters.
-        pc = array("Q", [p & _U64 for p in pcs])
-    uops = array("i", map(attrgetter("uops_before"), events))
-    actions = list(map(attrgetter("action"), decisions))
+        pc = array("Q", [p & _U64 for p in pc])
+    uops = events.uops_before
+    if not isinstance(uops, array):
+        uops = array("i", uops)
     return (
         pc,
         uops,
-        bytes(map(attrgetter("taken"), events)),
-        bytes(map(attrgetter("prediction"), events)),
-        bytes(map(attrgetter("final_prediction"), events)),
-        bytes(map(is_, actions, repeat(BranchAction.GATE))),
-        bytes(map(is_, actions, repeat(BranchAction.REVERSE))),
+        events.taken,
+        events.prediction,
+        events.final_prediction,
+        events.action_flags(BranchAction.GATE),
+        events.action_flags(BranchAction.REVERSE),
     )
 
 
-def _run(fn, config, events: Sequence, stats) -> None:
+def _run(fn, config, events, stats) -> None:
     """Marshal, call the kernel and merge its result into ``stats``."""
     cfg = _config(config)
     columns = _columns(events)
@@ -289,7 +285,7 @@ def _run(fn, config, events: Sequence, stats) -> None:
     stats.total_cycles = out.total_cycles
 
 
-def simulate(config, events: Sequence, stats) -> Optional[str]:
+def simulate(config, events, stats) -> Optional[str]:
     """Run one simulation on the kernel, accumulating into ``stats``.
 
     Returns ``None`` when the kernel ran, else the fallback reason; then

@@ -1,7 +1,8 @@
 """Branch-granularity pipeline timing model.
 
-The simulator replays :class:`repro.core.frontend.FrontEndEvent`
-streams through a parametric out-of-order machine and accounts the two
+The simulator replays event streams
+(:class:`~repro.core.events.EventColumns`, or sequences of
+:class:`~repro.core.frontend.FrontEndEvent`) through a parametric out-of-order machine and accounts the two
 quantities every experiment in the paper reports: **uops executed**
 (correct-path plus wrong-path) and **cycles** (the retire-stream
 completion time).
@@ -57,6 +58,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.common.bits import mix_hash
+from repro.core.events import EventColumns
 from repro.core.frontend import FrontEndEvent
 from repro.core.reversal import BranchAction
 from repro.pipeline.config import PipelineConfig
@@ -334,6 +336,9 @@ class PipelineSimulator:
     ) -> SimStats:
         """Replay a front-end event stream; returns accumulated stats.
 
+        ``events`` is an :class:`~repro.core.events.EventColumns`, whose
+        buffers the kernel reads in place, or any iterable of
+        ``FrontEndEvent``, converted to columns once on the way in.
         Internal time state is reset at the start of every call.  The
         stream runs on the compiled kernel (:mod:`repro.pipeline.kernel`),
         which is bit-identical to the Python model below; when the kernel
@@ -352,7 +357,7 @@ class PipelineSimulator:
             base_stalls = result.gating_stalls
             base_correcting = result.reversals_correcting
             base_breaking = result.reversals_breaking
-        if not isinstance(events, (list, tuple)):
+        if not isinstance(events, (EventColumns, list, tuple)):
             events = list(events)
         reason = kernel.simulate(self.config, events, result)
         if reason is None:

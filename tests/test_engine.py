@@ -29,7 +29,7 @@ from repro.engine import (
     configure_engine,
 )
 from repro.engine import engine as engine_mod
-from repro.engine.cache import DEFAULT_EVENT_BUDGET, _LruBudget
+from repro.engine.cache import DEFAULT_EVENT_BUDGET, _LruBudget, encode_entry
 
 JOB = SimJob(
     benchmark="gzip",
@@ -332,8 +332,10 @@ class TestCorruptDiskCache:
         return cache
 
     def test_truncated_pickle_recovers(self, tmp_path, caplog):
+        # Entries are no longer pickles; the name is kept from the
+        # pickle format, the truncated file is now a columnar entry.
         outcome = Engine().replay(JOB)
-        good = pickle.dumps((outcome.events, outcome.result))
+        good = encode_entry(JOB.fingerprint, outcome)
         cache = self._plant(tmp_path, good[: len(good) // 2])
         with caplog.at_level(logging.WARNING, logger="repro.engine.cache"):
             assert cache.get(JOB.fingerprint) is None
@@ -342,6 +344,7 @@ class TestCorruptDiskCache:
         assert any("corrupt" in r.message for r in caplog.records)
 
     def test_wrong_structure_recovers(self, tmp_path):
+        # A pickle under the entry's name (the former format) is foreign.
         cache = self._plant(tmp_path, pickle.dumps("not an outcome tuple"))
         assert cache.get(JOB.fingerprint) is None
         assert cache.stats.corrupt == 1
