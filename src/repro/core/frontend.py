@@ -37,6 +37,11 @@ __all__ = [
 class FrontEndEvent:
     """Everything observed for one dynamic branch.
 
+    Replays hand their streams between layers as
+    :class:`~repro.core.events.EventColumns`; an event object is that
+    stream's per-branch view (built on demand by indexing or iterating
+    it), or one step of the reference :class:`FrontEnd` loop.
+
     Attributes:
         pc: Branch address.
         taken: Resolved direction.
